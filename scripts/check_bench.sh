@@ -1,8 +1,8 @@
 #!/usr/bin/env bash
 # Bench-pipeline smoke check: runs a tiny imoltp_bench sweep, asserts
 # that the matrix self-compares clean through imoltp_compare (exit 0),
-# and that an injected refs/sec collapse trips the regression gate
-# (exit non-zero). Exercises the full trajectory loop — run, serialize,
+# and that an injected refs/sec collapse, or a candidate whose cell ids
+# pair with none of the baseline's, trips the gate (exit non-zero). Exercises the full trajectory loop — run, serialize,
 # parse, tolerance rules — in a few seconds; CI and ctest both run it
 # (docs/OBSERVABILITY.md, "Benchmark trajectories").
 #
@@ -22,7 +22,7 @@ mkdir -p "$outdir"
 base="$outdir/BENCH_smoke.json"
 "$imoltp_bench" --label=smoke --out="$base" \
                 --engines=voltdb,hyper --workloads=tpcb \
-                --modes=deterministic --workers=2 \
+                --modes=serial --workers=2 \
                 --txns=300 --warmup=50 --seed=11 >/dev/null
 
 # 1. A matrix must always be within tolerance of itself.
@@ -39,3 +39,16 @@ if "$imoltp_compare" "$base" "$regressed" >/dev/null; then
   exit 1
 fi
 echo "injected regression: detected (as it must be)"
+
+# 3. A candidate that pairs no cell compared nothing, so it must fail
+# even under --allow-missing (drifted ids would otherwise pass).
+renamed="$outdir/BENCH_smoke_renamed.json"
+sed -E 's#"id":"([^"/]*)/([^"/]*)/serial/#"id":"\1/\2/renamed/#g' \
+    "$base" > "$renamed"
+rc=0
+"$imoltp_compare" --allow-missing "$base" "$renamed" >/dev/null 2>&1 || rc=$?
+if [ "$rc" -ne 1 ]; then
+  echo "error: a candidate with no paired cell exited $rc, want 1" >&2
+  exit 1
+fi
+echo "unpaired candidate: rejected (as it must be)"

@@ -21,14 +21,11 @@ namespace imoltp::core {
 /// docs/parallel_execution.md for the full threading model and
 /// determinism contract.
 enum class ParallelMode {
-  /// Legacy nested loop on the calling thread: transaction t runs on
-  /// worker 0, then 1, ... then W-1 before t+1 starts. The historical
-  /// reference interleaving.
+  /// Nested loop on the calling thread: transaction t runs on worker 0,
+  /// then 1, ... then W-1 before t+1 starts. The reference
+  /// interleaving: a seed fixes every simulated event, and with ASLR
+  /// off two processes write identical reports outside `host`.
   kSerial,
-  /// One host thread per simulated core, turnstile-stepped so the
-  /// global transaction order is exactly kSerial's. Counters, spans,
-  /// latencies and trace replays are bit-identical to kSerial.
-  kDeterministic,
   /// One free-running host thread per simulated core: full wall-clock
   /// speed, data-race-free, but the interleaving (and therefore exact
   /// counter values) varies run to run.
@@ -37,9 +34,11 @@ enum class ParallelMode {
 
 const char* ParallelModeName(ParallelMode mode);
 
-/// Parses a CLI mode name ("serial", "deterministic", "free") — the
-/// single spelling authority for every tool with a --mode flag.
-/// Returns false on an unknown name.
+/// Parses a CLI mode name ("serial", "free") — the single spelling
+/// authority for every tool with a --mode flag. "deterministic", the
+/// name of a removed threaded replay of kSerial, still parses as
+/// kSerial so existing scripts keep running. Returns false on an
+/// unknown name.
 bool ParseParallelMode(const std::string& name, ParallelMode* out);
 
 /// The valid ParseParallelMode spellings, space-separated, for error
@@ -102,7 +101,7 @@ struct ExperimentConfig {
   uint64_t warmup_txns = 2000;   // per worker, profiler detached
   uint64_t measure_txns = 6000;  // per worker, profiler attached
   uint64_t seed = 42;
-  ParallelMode parallel_mode = ParallelMode::kDeterministic;
+  ParallelMode parallel_mode = ParallelMode::kSerial;
   RetryPolicy retry;
   engine::EngineOptions engine_options;
   mcsim::MachineConfig machine_config;
@@ -217,8 +216,8 @@ class ExperimentRunner {
     }
   };
 
-  /// Per-phase accounting sinks: the shared members for the serialized
-  /// modes, per-worker locals (merged post-join) for kFree.
+  /// Per-phase accounting sinks: the shared members for kSerial,
+  /// per-worker locals (merged post-join) for kFree.
   struct PhaseSinks {
     obs::LatencyHistogram* lat = nullptr;
     uint64_t* aborts = nullptr;

@@ -24,7 +24,7 @@ EngineBase::EngineBase(mcsim::MachineSim* machine,
 
 mcsim::CodeRegion EngineBase::DefineRegion(const RegionSpec& spec) {
   const mcsim::ModuleId module =
-      machine_->modules().Register(spec.module, spec.engine_side);
+      machine_->modules().Intern(spec.module, spec.engine_side);
   return machine_->code_space().Define(
       module, spec.total_bytes, spec.touched_bytes, spec.instructions,
       spec.mispredicts_per_kinstr, spec.cpi);

@@ -20,10 +20,10 @@ namespace imoltp::mcsim {
 /// host thread and never need locking. The machine-shared LLC is switched
 /// into concurrent mode (`set_concurrent(true)`) for free-running parallel
 /// execution; set state is then guarded by sharded per-set-group mutexes.
-/// Hit/miss/tick counters are relaxed atomics in every mode — in the
-/// serialized modes all accesses are totally ordered, so the counts (and
-/// the LRU stamps derived from tick_) stay bit-identical to the historical
-/// single-threaded values.
+/// Hit/miss/tick counters are relaxed atomics in every mode — under
+/// kSerial all accesses are totally ordered, so the counts (and the LRU
+/// stamps derived from tick_) stay bit-identical to the single-threaded
+/// values.
 class Cache {
  public:
   explicit Cache(const CacheConfig& config);

@@ -35,6 +35,27 @@ class ModuleRegistry {
   /// mode can happen from any worker thread.
   ModuleId Register(std::string name, bool inside_engine) {
     std::lock_guard<std::mutex> guard(mu_);
+    return Append(std::move(name), inside_engine);
+  }
+
+  /// Like Register, but returns the existing id when `name` is already
+  /// registered, so a module whose code spans several regions (Shore-MT's
+  /// begin and commit paths) is counted, and reported, under one key.
+  /// Register stays positional: trace replay re-registers a recorded
+  /// module list by index.
+  ModuleId Intern(std::string name, bool inside_engine) {
+    std::lock_guard<std::mutex> guard(mu_);
+    for (size_t id = 1; id < modules_.size(); ++id) {
+      if (modules_[id].name == name) return static_cast<ModuleId>(id);
+    }
+    return Append(std::move(name), inside_engine);
+  }
+
+  const ModuleInfo& info(ModuleId id) const { return modules_[id]; }
+  int size() const { return static_cast<int>(modules_.size()); }
+
+ private:
+  ModuleId Append(std::string name, bool inside_engine) {
     if (static_cast<int>(modules_.size()) >= kMaxModules) {
       if (!overflowed_) {
         overflowed_ = true;
@@ -49,10 +70,6 @@ class ModuleRegistry {
     return static_cast<ModuleId>(modules_.size() - 1);
   }
 
-  const ModuleInfo& info(ModuleId id) const { return modules_[id]; }
-  int size() const { return static_cast<int>(modules_.size()); }
-
- private:
   std::mutex mu_;
   std::vector<ModuleInfo> modules_;
   bool overflowed_ = false;

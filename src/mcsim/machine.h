@@ -15,11 +15,10 @@ namespace imoltp::mcsim {
 /// shared LLC, mirroring Table 1 of the paper.
 ///
 /// Threading model (docs/parallel_execution.md): each CoreSim is
-/// thread-confined — at most one host thread drives it at a time. In the
-/// serialized execution modes (kSerial / kDeterministic) core verbs are
-/// additionally totally ordered, so cross-core invalidation pokes sibling
-/// caches directly and every counter is bit-identical to the historical
-/// single-threaded interleaving. In free-running mode
+/// thread-confined — at most one host thread drives it at a time. In
+/// serialized execution (kSerial) core verbs are additionally totally
+/// ordered, so cross-core invalidation pokes sibling caches directly and
+/// every counter is fixed by the seed. In free-running mode
 /// (`SetFreeRunning(true)`) one host thread runs per core concurrently:
 /// the shared LLC switches to sharded locking and cross-core
 /// invalidations are posted to per-core mailboxes instead of touching
@@ -41,7 +40,7 @@ class MachineSim {
 
   /// Invalidates `line` in every private cache except `writer_core`'s.
   /// Called on writes when more than one core is simulated. Serialized
-  /// modes check presence and invalidate in place; free-running mode
+  /// execution checks presence and invalidates in place; free-running mode
   /// posts to each sibling's mailbox unconditionally (peeking at a
   /// sibling's tags from the writer's thread would race — an invalidate
   /// for an absent line is a no-op when drained).

@@ -172,6 +172,7 @@ std::vector<BenchCompareFailure> CompareBenchMatrices(
     const BenchMatrix& baseline, const BenchMatrix& candidate,
     const BenchCompareOptions& options) {
   std::vector<BenchCompareFailure> failures;
+  size_t paired = 0;
   for (const BenchCell& base : baseline.cells) {
     const BenchCell* cand = FindCell(candidate, base.id);
     if (cand == nullptr) {
@@ -181,6 +182,7 @@ std::vector<BenchCompareFailure> CompareBenchMatrices(
       }
       continue;
     }
+    ++paired;
 
     CheckSimulatedDrift(base.id, "ipc", base.ipc, cand->ipc,
                         options.ipc_rtol, &failures);
@@ -217,6 +219,13 @@ std::vector<BenchCompareFailure> CompareBenchMatrices(
         failures.push_back({base.id, "wall_seconds", buf});
       }
     }
+  }
+  // A comparison that paired nothing checked nothing: cell ids drifted
+  // (or a matrix is empty), and passing would hide it. Without
+  // allow_missing each unpaired cell has already failed above.
+  if (paired == 0 && failures.empty()) {
+    failures.push_back({"", "cell", "no candidate cell pairs with a "
+                                    "baseline cell id"});
   }
   return failures;
 }

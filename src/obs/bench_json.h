@@ -20,11 +20,11 @@ inline constexpr int kBenchSchemaVersion = 1;
 
 /// One cell of a benchmark campaign: an (engine, workload, mode,
 /// workers) point with its simulated quality metrics (IPC, stalls —
-/// deterministic under serialized modes) and its host-side speed
+/// deterministic under kSerial) and its host-side speed
 /// metrics (wall-clock, simulated references per host second — never
 /// deterministic, compared only with regression thresholds).
 struct BenchCell {
-  /// Stable matching key, e.g. "voltdb/tpcc/deterministic/w2". Cells of
+  /// Stable matching key, e.g. "voltdb/tpcc/serial/w2". Cells of
   /// two matrices are paired by id; everything else is payload.
   std::string id;
 
@@ -100,7 +100,8 @@ struct BenchCompareFailure {
 };
 
 /// Pairs cells by id and applies the tolerance rules. Empty result =
-/// the candidate is at least as good as the baseline everywhere.
+/// the candidate is at least as good as the baseline everywhere. A
+/// candidate that pairs no cell fails, even under allow_missing.
 std::vector<BenchCompareFailure> CompareBenchMatrices(
     const BenchMatrix& baseline, const BenchMatrix& candidate,
     const BenchCompareOptions& options);

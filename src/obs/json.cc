@@ -223,6 +223,11 @@ class Parser {
       }
       Status s = ParseString(&key);
       if (!s.ok()) return s;
+      // Lookups return the first match, so a repeated key would hide
+      // its later values from every comparison.
+      if (out->Find(key) != nullptr) {
+        return Error("duplicate object key \"" + key + "\"");
+      }
       SkipWs();
       if (!Consume(':')) return Error("expected ':'");
       JsonValue value;

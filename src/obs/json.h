@@ -81,6 +81,7 @@ class JsonValue {
 };
 
 /// Parses one JSON document (trailing whitespace allowed, nothing else).
+/// An object that repeats a key is rejected.
 StatusOr<JsonValue> ParseJson(std::string_view text);
 
 }  // namespace imoltp::obs

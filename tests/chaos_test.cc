@@ -97,7 +97,7 @@ INSTANTIATE_TEST_SUITE_P(
 
 TEST(ChaosDeterminismTest, SameSeedSameFingerprint) {
   // The acceptance bar: two campaigns with identical options in
-  // kDeterministic mode match bit for bit — same crash schedule, same
+  // kSerial mode match bit for bit — same crash schedule, same
   // surviving log, same invariant checksums, same fingerprints.
   ChaosOptions opt = FastOptions(EngineKind::kShoreMt, "tpcb");
   opt.cycles = 2;

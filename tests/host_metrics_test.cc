@@ -53,7 +53,7 @@ TEST(HostMetricsTest, PhaseTimerAccumulatesAcrossScopes) {
 
 obs::HostPerf SampleHostPerf() {
   obs::HostPerf perf;
-  perf.parallel_mode = "deterministic";
+  perf.parallel_mode = "free";
   perf.populate_seconds = 0.25;
   perf.warmup_seconds = 0.5;
   perf.measure_seconds = 2.0;
@@ -77,7 +77,7 @@ TEST(HostPerfJsonTest, EmitsEveryField) {
   auto doc = obs::ParseJson(w.str());
   ASSERT_TRUE(doc.ok()) << doc.status().ToString();
   const obs::JsonValue& v = doc.value();
-  EXPECT_EQ(v.FindPath("host.parallel_mode")->string, "deterministic");
+  EXPECT_EQ(v.FindPath("host.parallel_mode")->string, "free");
   EXPECT_DOUBLE_EQ(v.FindPath("host.phase_seconds.populate")->number,
                    0.25);
   EXPECT_DOUBLE_EQ(v.FindPath("host.phase_seconds.measure")->number, 2.0);
@@ -111,7 +111,7 @@ TEST(HostPerfJsonTest, ReportCarriesHostSectionOnlyWhenProvided) {
   EXPECT_EQ(doc->FindPath("schema_version")->number,
             obs::kReportSchemaVersion);
   ASSERT_NE(doc->FindPath("host"), nullptr);
-  EXPECT_EQ(doc->FindPath("host.parallel_mode")->string, "deterministic");
+  EXPECT_EQ(doc->FindPath("host.parallel_mode")->string, "free");
 
   const std::string without_host =
       obs::RunReportToJson(info, report, params, nullptr, nullptr);
@@ -161,10 +161,10 @@ obs::BenchMatrix SampleMatrix() {
   m.config = "--engines=voltdb --workloads=tpcb";
   m.created_unix = 1754600000;
   obs::BenchCell c;
-  c.id = "voltdb/tpcb/deterministic/w2";
+  c.id = "voltdb/tpcb/serial/w2";
   c.engine = "voltdb";
   c.workload = "tpcb";
-  c.mode = "deterministic";
+  c.mode = "serial";
   c.workers = 2;
   c.warmup_txns = 500;
   c.measure_txns = 2000;
@@ -195,7 +195,7 @@ TEST(BenchJsonTest, MatrixRoundTripsLosslessly) {
   EXPECT_EQ(r.created_unix, 1754600000u);
   ASSERT_EQ(r.cells.size(), 1u);
   const obs::BenchCell& c = r.cells[0];
-  EXPECT_EQ(c.id, "voltdb/tpcb/deterministic/w2");
+  EXPECT_EQ(c.id, "voltdb/tpcb/serial/w2");
   EXPECT_EQ(c.workers, 2);
   EXPECT_DOUBLE_EQ(c.ipc, 0.8123);
   EXPECT_DOUBLE_EQ(c.instructions_per_txn, 15000.5);
@@ -262,16 +262,36 @@ TEST(BenchCompareTest, SimulatedDriftIsSymmetric) {
 }
 
 TEST(BenchCompareTest, MissingCellFailsUnlessAllowed) {
-  const obs::BenchMatrix base = SampleMatrix();
+  obs::BenchMatrix base = SampleMatrix();
+  base.cells.push_back(base.cells[0]);
+  base.cells[1].id = "voltdb/tpcc/serial/w2";
   obs::BenchMatrix cand = base;
-  cand.cells.clear();
+  cand.cells.pop_back();
   auto failures = obs::CompareBenchMatrices(base, cand, {});
   ASSERT_EQ(failures.size(), 1u);
+  EXPECT_EQ(failures[0].cell, "voltdb/tpcc/serial/w2");
   EXPECT_EQ(failures[0].metric, "cell");
 
   obs::BenchCompareOptions opts;
   opts.allow_missing = true;
   EXPECT_TRUE(obs::CompareBenchMatrices(base, cand, opts).empty());
+}
+
+TEST(BenchCompareTest, NoPairedCellFailsEvenWhenMissingAllowed) {
+  // Cell ids that drifted (a renamed mode, say) leave nothing to
+  // compare; --allow-missing must not turn that into a pass.
+  const obs::BenchMatrix base = SampleMatrix();
+  obs::BenchMatrix cand = base;
+  cand.cells[0].id = "voltdb/tpcb/other/w2";
+  obs::BenchCompareOptions opts;
+  opts.allow_missing = true;
+  auto failures = obs::CompareBenchMatrices(base, cand, opts);
+  ASSERT_EQ(failures.size(), 1u);
+  EXPECT_EQ(failures[0].cell, "");
+  EXPECT_EQ(failures[0].metric, "cell");
+
+  cand.cells.clear();
+  EXPECT_EQ(obs::CompareBenchMatrices(base, cand, opts).size(), 1u);
 }
 
 TEST(BenchCompareTest, TimingOnlyCellsFallBackToWallClock) {

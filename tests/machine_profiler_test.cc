@@ -238,6 +238,18 @@ TEST(ProfilerTest, WindowOpenTracksState) {
   EXPECT_FALSE(p.window_open());
 }
 
+TEST(ModuleRegistryTest, InternReusesANameRegisterDoesNot) {
+  MachineSim m(NoTlb(1));
+  ModuleRegistry& reg = m.modules();
+  const ModuleId xct = reg.Intern("sm-xct", true);
+  EXPECT_EQ(reg.Intern("sm-xct", true), xct);
+  const int size = reg.size();
+  // Register stays positional: trace replay rebuilds a recorded list
+  // entry by entry, so it never merges.
+  EXPECT_NE(reg.Register("sm-xct", true), xct);
+  EXPECT_EQ(reg.size(), size + 1);
+}
+
 TEST(ModuleRegistryTest, RegistrationPastCapacityIsClamped) {
   MachineSim m(NoTlb(1));
   ModuleRegistry& reg = m.modules();

@@ -68,6 +68,8 @@ TEST(JsonParseTest, RejectsMalformedDocuments) {
   EXPECT_FALSE(obs::ParseJson("{} trailing").ok());
   EXPECT_FALSE(obs::ParseJson("\"unterminated").ok());
   EXPECT_FALSE(obs::ParseJson("nul").ok());
+  EXPECT_FALSE(obs::ParseJson("{\"a\":1,\"b\":{\"a\":2,\"a\":3}}").ok());
+  EXPECT_TRUE(obs::ParseJson("{\"a\":1,\"b\":{\"a\":2}}").ok());
   EXPECT_TRUE(obs::ParseJson("{}  \n ").ok());
 }
 

@@ -156,6 +156,28 @@ TEST(BuildExperimentTest, SamplerPeriodFollowsFlags) {
   }
 }
 
+TEST(BuildExperimentTest, ModeDefaultsToSerialAndKeepsTheOldAlias) {
+  std::unique_ptr<core::Workload> workload;
+  std::string error;
+  Flags flags;
+  core::ExperimentConfig cfg;
+  cfg.parallel_mode = core::ParallelMode::kFree;
+  ASSERT_TRUE(BuildExperiment(flags, &cfg, &workload, &error)) << error;
+  EXPECT_EQ(cfg.parallel_mode, core::ParallelMode::kSerial);
+
+  // Scripts written against the removed threaded replay of kSerial
+  // still run, as kSerial.
+  flags.mode = "deterministic";
+  cfg.parallel_mode = core::ParallelMode::kFree;
+  ASSERT_TRUE(BuildExperiment(flags, &cfg, &workload, &error)) << error;
+  EXPECT_STREQ(core::ParallelModeName(cfg.parallel_mode), "serial");
+
+  flags.mode = "bogus";
+  EXPECT_FALSE(BuildExperiment(flags, &cfg, &workload, &error));
+  EXPECT_NE(error.find("(choices: serial free)"), std::string::npos)
+      << error;
+}
+
 TEST(ParseEngineTest, AllFiveEnginesParse) {
   engine::EngineKind kind;
   for (const char* name :

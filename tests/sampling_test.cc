@@ -327,26 +327,23 @@ std::string DeterministicFingerprint(const WindowReport& r) {
 }
 
 TEST(SampledExperimentTest, DeterministicSeriesOnAllEngines) {
-  // Same seed, serial vs. turnstile-deterministic threading: the
-  // deterministic fingerprint must match byte for byte on every
-  // engine. This is the time-resolved extension of
-  // ParallelModeTest.DeterministicMatchesSerialOnAllEngines.
+  // Same seed, two independent kSerial runners: the deterministic
+  // fingerprint must match byte for byte on every engine.
   for (EngineKind kind : kAllEngines) {
     SCOPED_TRACE(engine::EngineKindName(kind));
     MicroConfig mcfg = SmallMicro();
-    MicroBenchmark wl_serial(mcfg), wl_det(mcfg);
+    MicroBenchmark wl_a(mcfg), wl_b(mcfg);
 
-    auto serial = RunExperiment(
-        SampledConfig(kind, ParallelMode::kSerial), &wl_serial);
-    ASSERT_TRUE(serial.ok()) << serial.status().ToString();
-    auto det = RunExperiment(
-        SampledConfig(kind, ParallelMode::kDeterministic), &wl_det);
-    ASSERT_TRUE(det.ok()) << det.status().ToString();
+    auto a = RunExperiment(SampledConfig(kind, ParallelMode::kSerial),
+                           &wl_a);
+    ASSERT_TRUE(a.ok()) << a.status().ToString();
+    auto b = RunExperiment(SampledConfig(kind, ParallelMode::kSerial),
+                           &wl_b);
+    ASSERT_TRUE(b.ok()) << b.status().ToString();
 
-    ASSERT_EQ(serial->timeseries.size(), 2u);
-    EXPECT_GT(serial->timeseries[0].buckets.size(), 1u);
-    EXPECT_EQ(DeterministicFingerprint(*det),
-              DeterministicFingerprint(*serial));
+    ASSERT_EQ(a->timeseries.size(), 2u);
+    EXPECT_GT(a->timeseries[0].buckets.size(), 1u);
+    EXPECT_EQ(DeterministicFingerprint(*b), DeterministicFingerprint(*a));
   }
 }
 

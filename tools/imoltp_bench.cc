@@ -21,12 +21,10 @@
 //   --workloads=A,B,...  subset of micro,micro-rw,micro-string,tpcb,
 //                        tpcc,tpcc-cluster (default tpcb,tpcc,
 //                        tpcc-cluster). tpcc-cluster runs the 3-node
-//                        src/dist cluster (deterministic mode only;
-//                        other modes skip the cell) and reports
-//                        cluster-wide averages; its host axis is
-//                        wall-clock-only.
-//   --modes=A,B,...      subset of serial,deterministic,free
-//                        (default deterministic)
+//                        src/dist cluster (serial mode only; other
+//                        modes skip the cell) and reports cluster-wide
+//                        averages; its host axis is wall-clock-only.
+//   --modes=A,B,...      subset of serial,free (default serial)
 //   --workers=N          worker threads == partitions (default 2)
 //   --txns=N             measured transactions per worker (default 2000)
 //   --warmup=N           warm-up transactions per worker (default 500)
@@ -64,7 +62,7 @@ struct BenchFlags {
   std::vector<std::string> engines = {"shore-mt", "dbms-d", "voltdb",
                                       "hyper", "dbms-m"};
   std::vector<std::string> workloads = {"tpcb", "tpcc", "tpcc-cluster"};
-  std::vector<std::string> modes = {"deterministic"};
+  std::vector<std::string> modes = {"serial"};
   int workers = 2;
   uint64_t txns = 2000;
   uint64_t warmup = 500;
@@ -94,8 +92,9 @@ int Usage(const char* argv0, const std::string& error) {
                "usage: %s [--label=NAME] [--out=FILE] [--engines=A,B]\n"
                "          [--workloads=A,B] [--modes=A,B] [--workers=N]\n"
                "          [--txns=N] [--warmup=N] [--db=SIZE]\n"
-               "          [--warehouses=N] [--seed=N] [--commit=REV]\n",
-               argv0);
+               "          [--warehouses=N] [--seed=N] [--commit=REV]\n"
+               "modes: %s\n",
+               argv0, core::ParallelModeChoices());
   return 2;
 }
 
@@ -120,7 +119,15 @@ bool ParseBenchFlags(int argc, char* const* argv, BenchFlags* flags,
     } else if (const char* v = value("--workloads=")) {
       flags->workloads = SplitCsv(v);
     } else if (const char* v = value("--modes=")) {
+      // Cell ids carry the canonical name, so an alias spelling still
+      // pairs with a baseline's cells. Unknown names fail per cell.
       flags->modes = SplitCsv(v);
+      for (std::string& name : flags->modes) {
+        core::ParallelMode mode;
+        if (core::ParseParallelMode(name, &mode)) {
+          name = core::ParallelModeName(mode);
+        }
+      }
     } else if (const char* v = value("--workers=")) {
       flags->workers = std::atoi(v);
       if (flags->workers <= 0) {
@@ -278,7 +285,7 @@ bool RunClusterCell(const BenchFlags& bench, const std::string& engine,
              "/w" + std::to_string(bench.workers);
   cell->engine = engine;
   cell->workload = "tpcc-cluster";
-  cell->mode = "deterministic";
+  cell->mode = "serial";
   cell->workers = bench.workers;
   cell->warmup_txns = bench.warmup;
   cell->measure_txns = bench.txns;
@@ -317,6 +324,13 @@ bool RunClusterCell(const BenchFlags& bench, const std::string& engine,
 }  // namespace
 
 int main(int argc, char** argv) {
+  for (int i = 1; i < argc; ++i) {
+    if (std::strcmp(argv[i], "--help") == 0 ||
+        std::strcmp(argv[i], "-h") == 0) {
+      Usage(argv[0], "");
+      return 0;
+    }
+  }
   BenchFlags bench;
   std::string error;
   if (!ParseBenchFlags(argc, argv, &bench, &error)) {
@@ -349,8 +363,8 @@ int main(int argc, char** argv) {
         if (workload == "tpcc-cluster") {
           // The cluster driver is deterministic by construction; the
           // mode axis does not apply. Run the cell once, under the
-          // deterministic label, and skip the other modes quietly.
-          if (mode != "deterministic") continue;
+          // serial label, and skip the other modes quietly.
+          if (mode != "serial") continue;
           obs::BenchCell cell;
           if (!RunClusterCell(bench, engine, &cell, &error)) {
             std::fprintf(stderr, "%s: %s/%s failed: %s\n", argv[0],

@@ -18,7 +18,7 @@
 //   --txns=N                 measured transactions per worker
 //   --warmup=N               warm-up transactions per worker
 //   --seed=N                 campaign seed (injector + workload)
-//   --mode=serial|deterministic|free
+//   --mode=serial|free       host threading (default serial)
 //   --chaos-points=SPEC      NAME=PROB[@NTH],... points to arm
 //   --retry=N --retry-backoff=N --retry-cap=N     abort retry policy
 //   --db=SIZE                tpcb nominal size (default 1MB)
@@ -69,7 +69,7 @@ int Usage(const char* argv0, const std::string& error) {
                "[--cycles=N]\n"
                "          [--workers=N] [--txns=N] [--warmup=N] "
                "[--seed=N]\n"
-               "          [--mode=serial|deterministic|free]\n"
+               "          [--mode=M]\n"
                "          [--chaos-points=NAME=PROB[@NTH],...]\n"
                "          [--retry=N] [--retry-backoff=N] "
                "[--retry-cap=N]\n"
@@ -79,8 +79,10 @@ int Usage(const char* argv0, const std::string& error) {
                "[--checkpoint-retain=N]\n"
                "          [--invariant-only] [--json=FILE]\n"
                "engines: %s\n"
+               "modes: %s\n"
                "fault points: %s\n",
-               argv0, engine::EngineKindChoices(), points.c_str());
+               argv0, engine::EngineKindChoices(),
+               core::ParallelModeChoices(), points.c_str());
   return 2;
 }
 
@@ -90,7 +92,6 @@ int main(int argc, char** argv) {
   fault::ChaosOptions opt;
   opt.workload = "tpcb";
   std::string engine_name = "voltdb";
-  std::string mode = "deterministic";
   std::string json_path;
   std::string error;
 
@@ -132,7 +133,11 @@ int main(int argc, char** argv) {
     } else if (const char* v = value("--seed=")) {
       opt.seed = std::strtoull(v, nullptr, 10);
     } else if (const char* v = value("--mode=")) {
-      mode = v;
+      if (!core::ParseParallelMode(v, &opt.mode)) {
+        return Usage(argv[0], std::string("unknown mode: ") + v +
+                                  " (choices: " +
+                                  core::ParallelModeChoices() + ")");
+      }
     } else if (const char* v = value("--chaos-points=")) {
       if (!tools::ParseChaosPoints(v, &opt.points, &error)) {
         return Usage(argv[0], error);
@@ -201,10 +206,6 @@ int main(int argc, char** argv) {
     return Usage(argv[0], "unknown engine: " + engine_name +
                               " (choices: " +
                               engine::EngineKindChoices() + ")");
-  }
-  if (!core::ParseParallelMode(mode, &opt.mode)) {
-    return Usage(argv[0], "unknown mode: " + mode + " (choices: " +
-                              core::ParallelModeChoices() + ")");
   }
 
   std::fprintf(stderr, "chaos: %s / %s, %d cycle(s), seed %llu\n",

@@ -40,10 +40,10 @@ struct Flags {
   std::string index = "hash";
   bool compilation = true;
   uint64_t seed = 42;
-  std::string mode = "deterministic";  // serial|deterministic|free
+  std::string mode = "serial";  // core::ParallelModeChoices()
   bool csv = false;
   bool csv_header = false;
-  bool list = false;
+  bool help = false;  // --help, -h or --list: print usage, exit 0
   std::string json_path;   // --json=FILE; "-" = stdout; empty = off
   std::string trace_out;   // --trace-out=FILE; empty = no capture
 
@@ -156,8 +156,8 @@ inline bool ParseEngine(const std::string& s, engine::EngineKind* out) {
 }
 
 /// Parses argv into `flags`. On failure returns false and sets `error`
-/// to a one-line description (unknown flag, malformed value). `--list`
-/// sets flags->list and parsing continues.
+/// to a one-line description (unknown flag, malformed value). `--help`
+/// (also `-h`, `--list`) sets flags->help and parsing continues.
 inline bool ParseCommandLine(int argc, char* const* argv, Flags* flags,
                              std::string* error) {
   for (int i = 1; i < argc; ++i) {
@@ -277,8 +277,8 @@ inline bool ParseCommandLine(int argc, char* const* argv, Flags* flags,
     } else if (arg == "--csv-header") {
       flags->csv = true;
       flags->csv_header = true;
-    } else if (arg == "--list") {
-      flags->list = true;
+    } else if (arg == "--help" || arg == "-h" || arg == "--list") {
+      flags->help = true;
     } else {
       *error = "unknown flag: " + arg;
       return false;

@@ -19,7 +19,8 @@
 //     timing-only cells (--max-regress, default 0.15, so a >15%
 //     slowdown fails and a >20% slowdown certainly does)
 //   * cells present in the baseline but absent from a candidate fail
-//     unless --allow-missing (reduced CI sweeps vs a full baseline)
+//     unless --allow-missing (reduced CI sweeps vs a full baseline); a
+//     candidate that pairs no cell at all always fails
 //
 // Exit codes: 0 = within tolerance, 1 = regression/drift, 2 = usage or
 // parse error.
@@ -261,6 +262,9 @@ int main(int argc, char** argv) {
       }
     } else if (arg == "--allow-missing") {
       options.allow_missing = true;
+    } else if (arg == "--help" || arg == "-h") {
+      Usage(argv[0], "");
+      return 0;
     } else if (arg.rfind("--", 0) == 0) {
       return Usage(argv[0], "unknown flag: " + arg);
     } else {

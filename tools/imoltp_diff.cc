@@ -38,7 +38,7 @@
 //                                 log-spaced bins on tiny shifts
 //   robustness                    exact — commit/abort/retry/fault
 //                                 counters are deterministic under the
-//                                 serialized modes; free-mode runs need
+//                                 serial mode; free-mode runs need
 //                                 an explicit --metric-rtol=robustness=X
 //   timeseries.sample_every       exact — different sampling periods
 //                                 produce incomparable bucket grids
@@ -128,7 +128,7 @@ const ToleranceRule kBuiltinRules[] = {
     {"latency_cycles.bins", -1.0, 0.0},
     {"latency_cycles", 0.10, 0.0},
     {"spans", 0.10, 500.0},
-    // Schema v3: deterministic-mode runs must match these exactly; any
+    // Schema v3: serial-mode runs must match these exactly; any
     // change in commit counts, abort causes, retry traffic, or the
     // fault schedule is a real behavioral regression, not jitter.
     {"robustness", 0.0, 0.0},
@@ -148,7 +148,7 @@ const ToleranceRule kBuiltinRules[] = {
     {"host", -1.0, 0.0},
     // Schema v7: checkpoint / recovery accounting. Capture cadence,
     // truncation counts, and replay/undo totals are deterministic in
-    // serialized modes — any drift is a real behavioral change.
+    // serial mode — any drift is a real behavioral change.
     {"recovery", 0.0, 0.0},
     // Schema v6: cluster documents. Outcome counts, fingerprints,
     // network accounting, and invariants are deterministic (same-seed
@@ -371,6 +371,9 @@ int main(int argc, char** argv) {
       opts.user_rules.push_back({arg.substr(9), -1.0});
     } else if (arg == "--json") {
       opts.json_output = true;
+    } else if (arg == "--help" || arg == "-h") {
+      Usage(argv[0]);
+      return 0;
     } else if (arg.rfind("--", 0) == 0) {
       std::fprintf(stderr, "%s: unknown flag %s\n", argv[0], arg.c_str());
       return Usage(argv[0]);

@@ -20,8 +20,8 @@
 //   --warmup=N           warm-up transactions per worker
 //   --index=hash|btree   DBMS M index choice
 //   --no-compilation     disable DBMS M transaction compilation
-//   --mode=M             serial|deterministic|free host threading
-//                        (see docs/parallel_execution.md)
+//   --mode=M             serial|free host threading (default serial;
+//                        see docs/parallel_execution.md)
 //   --seed=N
 //   --csv                one CSV row (+ header with --csv-header)
 //   --json=FILE          full JSON report ("-" = stdout)
@@ -77,7 +77,7 @@ int Usage(const char* argv0, const std::string& error) {
                "[--warmup=N]\n"
                "          [--index=hash|btree] [--no-compilation] "
                "[--seed=N] [--csv]\n"
-               "          [--mode=serial|deterministic|free]\n"
+               "          [--mode=M]\n"
                "          [--json=FILE] [--trace-out=FILE]\n"
                "          [--sample-every=N] [--timeline-out=FILE] "
                "[--sample-modules]\n"
@@ -87,9 +87,10 @@ int Usage(const char* argv0, const std::string& error) {
                "          [--checkpoint-every=N] [--checkpoint-pages=N]\n"
                "          [--checkpoint-retain=N]\n"
                "engines: %s\n"
-               "workloads: %s\n",
+               "workloads: %s\n"
+               "modes: %s\n",
                argv0, engine::EngineKindChoices(),
-               core::WorkloadChoices());
+               core::WorkloadChoices(), core::ParallelModeChoices());
   return 2;
 }
 
@@ -101,7 +102,10 @@ int main(int argc, char** argv) {
   if (!tools::ParseCommandLine(argc, argv, &flags, &error)) {
     return Usage(argv[0], error);
   }
-  if (flags.list) return Usage(argv[0], "");
+  if (flags.help) {
+    Usage(argv[0], "");
+    return 0;
+  }
 
   core::ExperimentConfig cfg;
   std::unique_ptr<core::Workload> workload;

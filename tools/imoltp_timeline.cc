@@ -343,6 +343,12 @@ int RunRender(const JsonValue& root) {
 }  // namespace
 
 int main(int argc, char** argv) {
+  if (argc == 2 && (std::strcmp(argv[1], "--help") == 0 ||
+                    std::strcmp(argv[1], "-h") == 0 ||
+                    std::strcmp(argv[1], "help") == 0)) {
+    Usage(argv[0]);
+    return 0;
+  }
   if (argc != 3) return Usage(argv[0]);
   const std::string cmd = argv[1];
   const std::string path = argv[2];

@@ -315,6 +315,10 @@ int CmdSweep(const char* argv0, int argc, char** argv) {
 int main(int argc, char** argv) {
   if (argc < 2) return Usage(argv[0], "missing subcommand");
   const std::string cmd = argv[1];
+  if (cmd == "--help" || cmd == "-h" || cmd == "help") {
+    Usage(argv[0], "");
+    return 0;
+  }
   if (cmd == "record") return CmdRecord(argv[0], argc - 1, argv + 1);
   if (cmd == "info") return CmdInfo(argv[0], argc - 2, argv + 2);
   if (cmd == "replay") return CmdReplay(argv[0], argc - 2, argv + 2);
