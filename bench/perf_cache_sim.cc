@@ -4,6 +4,8 @@
 
 #include <benchmark/benchmark.h>
 
+#include <memory>
+
 #include "common/rng.h"
 #include "mcsim/machine.h"
 
@@ -42,6 +44,41 @@ void BM_HierarchyDataRead(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations());
 }
 BENCHMARK(BM_HierarchyDataRead)->Arg(0)->Arg(1);
+
+// Writes on a 4-core machine: every write line probes the three
+// siblings' private caches (MachineSim::InvalidateOthers). Each core in
+// turn writes into a 1 MB range all cores share, so probes find and
+// invalidate sibling copies.
+void BM_HierarchyDataWrite4Core(benchmark::State& state) {
+  MachineConfig cfg;
+  cfg.num_cores = 4;
+  MachineSim machine(cfg);
+  Rng rng(1);
+  int core = 0;
+  for (auto _ : state) {
+    machine.core(core).Write(rng.Next() & ((1ULL << 20) - 1), 8);
+    core = (core + 1) & 3;
+  }
+  state.SetItemsProcessed(state.iterations());
+}
+BENCHMARK(BM_HierarchyDataWrite4Core);
+
+// The shared LLC in concurrent mode (free-running execution): every
+// Access takes its shard's mutex. Threads share one cache.
+void BM_LlcConcurrentAccess(benchmark::State& state) {
+  static std::unique_ptr<Cache> llc;
+  if (state.thread_index() == 0) {
+    llc = std::make_unique<Cache>(MachineConfig().llc);
+    llc->set_concurrent(true);
+  }
+  Rng rng(state.thread_index() + 1);
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(llc->Access(rng.Next() & ((1ULL << 18) - 1)));
+  }
+  state.SetItemsProcessed(state.iterations());
+  if (state.thread_index() == 0) llc.reset();
+}
+BENCHMARK(BM_LlcConcurrentAccess)->Threads(1)->Threads(4);
 
 void BM_RegionExecution(benchmark::State& state) {
   MachineSim machine;

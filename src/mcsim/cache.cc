@@ -48,9 +48,19 @@ void Cache::InvalidateLocked(uint64_t line_addr) {
 void Cache::Reset() {
   std::fill(tags_.begin(), tags_.end(), 0);
   std::fill(stamps_.begin(), stamps_.end(), 0);
-  tick_.store(0, std::memory_order_relaxed);
-  hits_.store(0, std::memory_order_relaxed);
-  misses_.store(0, std::memory_order_relaxed);
+  shards_.fill(ShardCounters());
+}
+
+uint64_t Cache::hits() const {
+  uint64_t sum = 0;
+  for (const ShardCounters& shard : shards_) sum += shard.hits;
+  return sum;
+}
+
+uint64_t Cache::misses() const {
+  uint64_t sum = 0;
+  for (const ShardCounters& shard : shards_) sum += shard.misses;
+  return sum;
 }
 
 }  // namespace imoltp::mcsim

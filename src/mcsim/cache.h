@@ -1,7 +1,7 @@
 #ifndef IMOLTP_MCSIM_CACHE_H_
 #define IMOLTP_MCSIM_CACHE_H_
 
-#include <atomic>
+#include <array>
 #include <cstdint>
 #include <memory>
 #include <mutex>
@@ -14,16 +14,21 @@ namespace imoltp::mcsim {
 /// A set-associative cache with true-LRU replacement, operating on line
 /// addresses (byte address >> log2(line size)). This is the only data
 /// structure on the simulation hot path, so lookups are a linear tag scan
-/// over one set (associativity is 8–20).
+/// over one set (associativity is 8–20) and no access does an atomic
+/// read-modify-write.
+///
+/// Sets are grouped into kShards shards (`set & (kShards - 1)`). Each
+/// shard owns a plain LRU clock and plain hit/miss counters; hits() and
+/// misses() sum the shards. LRU stamps are only ever compared within one
+/// set, and a set always belongs to one shard, so a per-shard clock picks
+/// exactly the victim a single cache-wide clock would.
 ///
 /// Threading: private caches (L1I/L1D/L2/TLBs) are thread-confined to one
 /// host thread and never need locking. The machine-shared LLC is switched
 /// into concurrent mode (`set_concurrent(true)`) for free-running parallel
-/// execution; set state is then guarded by sharded per-set-group mutexes.
-/// Hit/miss/tick counters are relaxed atomics in every mode — under
-/// kSerial all accesses are totally ordered, so the counts (and the LRU
-/// stamps derived from tick_) stay bit-identical to the single-threaded
-/// values.
+/// execution; each shard's sets, clock and counters are then guarded by
+/// that shard's mutex. Read hits()/misses() only while no thread is
+/// accessing the cache.
 class Cache {
  public:
   explicit Cache(const CacheConfig& config);
@@ -63,10 +68,8 @@ class Cache {
   void set_concurrent(bool concurrent) { concurrent_ = concurrent; }
   bool concurrent() const { return concurrent_; }
 
-  uint64_t hits() const { return hits_.load(std::memory_order_relaxed); }
-  uint64_t misses() const {
-    return misses_.load(std::memory_order_relaxed);
-  }
+  uint64_t hits() const;
+  uint64_t misses() const;
   uint64_t num_sets() const { return num_sets_; }
   uint32_t associativity() const { return assoc_; }
   const CacheConfig& config() const { return config_; }
@@ -84,6 +87,13 @@ class Cache {
     return line_addr & set_mask_;
   }
 
+  // The LRU clock and hit/miss counts of one shard of sets.
+  struct ShardCounters {
+    uint64_t tick = 0;
+    uint64_t hits = 0;
+    uint64_t misses = 0;
+  };
+
   std::mutex& ShardFor(uint64_t line_addr) const {
     return shard_mu_[SetIndex(line_addr) & (kShards - 1)];
   }
@@ -93,14 +103,14 @@ class Cache {
     const uint64_t tag = line_addr | kValidBit;
     uint64_t* tags = &tags_[set * assoc_];
     uint64_t* stamps = &stamps_[set * assoc_];
-    const uint64_t now =
-        tick_.fetch_add(1, std::memory_order_relaxed) + 1;
+    ShardCounters& shard = shards_[set & (kShards - 1)];
+    const uint64_t now = ++shard.tick;
     uint32_t victim = 0;
     uint64_t victim_stamp = UINT64_MAX;
     for (uint32_t way = 0; way < assoc_; ++way) {
       if (tags[way] == tag) {
         stamps[way] = now;
-        hits_.fetch_add(1, std::memory_order_relaxed);
+        ++shard.hits;
         return true;
       }
       if (stamps[way] < victim_stamp) {
@@ -110,7 +120,7 @@ class Cache {
     }
     tags[victim] = tag;
     stamps[victim] = now;
-    misses_.fetch_add(1, std::memory_order_relaxed);
+    ++shard.misses;
     return false;
   }
 
@@ -131,9 +141,7 @@ class Cache {
   uint64_t num_sets_;
   uint64_t set_mask_;
   bool concurrent_ = false;
-  std::atomic<uint64_t> tick_{0};
-  std::atomic<uint64_t> hits_{0};
-  std::atomic<uint64_t> misses_{0};
+  std::array<ShardCounters, kShards> shards_{};
   std::vector<uint64_t> tags_;
   std::vector<uint64_t> stamps_;
   mutable std::unique_ptr<std::mutex[]> shard_mu_;

@@ -7,6 +7,7 @@
 #include <string>
 #include <vector>
 
+#include "mcsim/config.h"
 #include "mcsim/counters.h"
 
 namespace imoltp::mcsim {
@@ -131,7 +132,7 @@ class CodeSpace {
  private:
   static constexpr uint64_t kCodeBaseLine = 1ULL << 40;
   static uint32_t LinesFor(uint32_t bytes) {
-    return (bytes + 63) / 64;
+    return (bytes + kLineBytes - 1) / kLineBytes;
   }
 
   std::mutex mu_;

@@ -5,10 +5,18 @@
 
 namespace imoltp::mcsim {
 
+/// Bytes per cache line. Data accesses split at this size, code regions
+/// are laid out in lines of it, and page numbers derive from it, so every
+/// cache level of a machine uses it (trace::ApplyConfigSpec rejects any
+/// other line size).
+inline constexpr uint32_t kLineBytes = 64;
+inline constexpr int kLineShift = 6;
+static_assert(kLineBytes == 1u << kLineShift);
+
 /// Geometry of one cache level.
 struct CacheConfig {
   uint64_t size_bytes = 0;
-  uint32_t line_bytes = 64;
+  uint32_t line_bytes = kLineBytes;
   uint32_t associativity = 8;
 };
 

@@ -14,6 +14,11 @@ int Log2(uint32_t v) {
   while ((1u << s) < v) ++s;
   return s;
 }
+
+// Seed of a core's window-selection xorshift (see CoreSim::NextWindow).
+uint64_t WindowSeed(int core_id) {
+  return 0x9E3779B97F4A7C15ULL ^ static_cast<uint64_t>(core_id + 1);
+}
 }  // namespace
 
 CoreSim::CoreSim(const MachineConfig& config, MachineSim* machine,
@@ -28,10 +33,10 @@ CoreSim::CoreSim(const MachineConfig& config, MachineSim* machine,
       model_tlb_(config.model_tlb),
       model_prefetcher_(config.model_prefetcher),
       prefetch_degree_(config.prefetch_degree),
-      page_line_shift_(Log2(config.page_bytes / config.l1d.line_bytes)),
+      page_line_shift_(Log2(config.page_bytes / kLineBytes)),
       default_cpi_(config.cycle.base_cpi),
       cpi_floor_(config.cycle.cpi_floor),
-      window_state_(0x9E3779B97F4A7C15ULL ^ (core_id + 1)) {}
+      window_state_(WindowSeed(core_id)) {}
 
 void CoreSim::FetchCodeLine(uint64_t line) {
   ++counters_.code_line_fetches;
@@ -47,8 +52,8 @@ void CoreSim::FetchCodeLine(uint64_t line) {
 }
 
 void CoreSim::AccessData(uint64_t addr, uint32_t size, bool is_write) {
-  const uint64_t first = addr >> 6;
-  const uint64_t last = (addr + (size == 0 ? 0 : size - 1)) >> 6;
+  const uint64_t first = addr >> kLineShift;
+  const uint64_t last = (addr + (size == 0 ? 0 : size - 1)) >> kLineShift;
   for (uint64_t line = first; line <= last; ++line) {
     AccessDataLine(line, is_write);
   }
@@ -116,6 +121,7 @@ void CoreSim::Reset() {
   stlb_.Reset();
   counters_ = CoreCounters();
   mispredict_acc_ = 0.0;
+  window_state_ = WindowSeed(core_id_);
   last_miss_line_ = 0;
   prefetches_issued_ = 0;
   if (sampler_ != nullptr) sampler_->Restart(counters_);

@@ -213,7 +213,8 @@ class CoreSim {
   /// Lines the stream prefetcher pulled into L2 (0 when disabled).
   uint64_t prefetches_issued() const { return prefetches_issued_; }
 
-  /// Drops all private-cache contents and rewinds counters to zero.
+  /// Drops all private-cache contents, rewinds counters to zero and
+  /// reseeds window selection, so the core then behaves like a new one.
   void Reset();
 
  private:

@@ -15,14 +15,16 @@ namespace imoltp::mcsim {
 /// shared LLC, mirroring Table 1 of the paper.
 ///
 /// Threading model (docs/parallel_execution.md): each CoreSim is
-/// thread-confined — at most one host thread drives it at a time. In
-/// serialized execution (kSerial) core verbs are additionally totally
-/// ordered, so cross-core invalidation pokes sibling caches directly and
-/// every counter is fixed by the seed. In free-running mode
+/// thread-confined — at most one host thread drives it at a time, so its
+/// caches take no locks and update plain counters. In serialized
+/// execution (kSerial) core verbs are additionally totally ordered, so
+/// cross-core invalidation pokes sibling caches directly and every
+/// counter is fixed by the seed. In free-running mode
 /// (`SetFreeRunning(true)`) one host thread runs per core concurrently:
-/// the shared LLC switches to sharded locking and cross-core
-/// invalidations are posted to per-core mailboxes instead of touching
-/// sibling caches from the writer's thread.
+/// the shared LLC switches to per-shard locking (its counters are then
+/// updated under the shard lock) and cross-core invalidations are posted
+/// to per-core mailboxes instead of touching sibling caches from the
+/// writer's thread.
 class MachineSim {
  public:
   explicit MachineSim(const MachineConfig& config = MachineConfig());
@@ -105,7 +107,8 @@ class MachineSim {
   /// report per-worker averages through the profiler instead).
   CoreCounters TotalCounters() const;
 
-  /// Drops all cache state and counters on every core and the LLC.
+  /// Drops all cache state and counters on every core and the LLC; the
+  /// same stream then yields the counters of a new machine.
   void Reset();
 
  private:

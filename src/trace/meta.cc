@@ -35,6 +35,11 @@ Status CacheFromJson(const obs::JsonValue* v, mcsim::CacheConfig* c,
     return Status::InvalidArgument(std::string("trace header: zero geometry in cache ") +
                                    name);
   }
+  if (c->line_bytes != mcsim::kLineBytes) {
+    return Status::InvalidArgument(
+        std::string("trace header: cache ") + name +
+        " has a line size other than 64 B, which the model does not support");
+  }
   return Status::Ok();
 }
 

@@ -216,12 +216,11 @@ Status ApplyConfigSpec(const std::string& spec,
     } else if (key == "line") {
       uint32_t line = 0;
       s = as_u32(&line);
-      if (s.ok() && (line < 16 || (line & (line - 1)) != 0)) {
-        s = BadSpec(item);
-      }
-      if (s.ok()) {
-        config->l1i.line_bytes = config->l1d.line_bytes = line;
-        config->l2.line_bytes = config->llc.line_bytes = line;
+      if (s.ok() && line != mcsim::kLineBytes) {
+        s = Status::InvalidArgument(
+            "bad config spec item: " + item +
+            " (only line=64 is supported: data, code and page addressing "
+            "all use 64-B lines)");
       }
     } else if (key == "pf") {
       s = as_onoff(&config->model_prefetcher);

@@ -2,7 +2,12 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <list>
+#include <thread>
 #include <vector>
+
+#include "common/rng.h"
 
 namespace imoltp::mcsim {
 namespace {
@@ -146,6 +151,126 @@ INSTANTIATE_TEST_SUITE_P(
       return std::to_string(info.param.size_bytes) + "b" +
              std::to_string(info.param.assoc) + "w";
     });
+
+// Differential check against a straightforward true-LRU model: one
+// recency-ordered list per set (front = most recent). Every return value
+// and the hit/miss totals must agree under random interleavings of all
+// four operations.
+class ReferenceLru {
+ public:
+  ReferenceLru(uint64_t num_sets, uint32_t assoc)
+      : sets_(num_sets), assoc_(assoc) {}
+
+  bool Access(uint64_t line) {
+    std::list<uint64_t>& set = SetFor(line);
+    auto it = std::find(set.begin(), set.end(), line);
+    if (it != set.end()) {
+      set.splice(set.begin(), set, it);
+      ++hits_;
+      return true;
+    }
+    if (set.size() == assoc_) set.pop_back();
+    set.push_front(line);
+    ++misses_;
+    return false;
+  }
+
+  bool Contains(uint64_t line) {
+    const std::list<uint64_t>& set = SetFor(line);
+    return std::find(set.begin(), set.end(), line) != set.end();
+  }
+
+  void Invalidate(uint64_t line) { SetFor(line).remove(line); }
+
+  void Reset() {
+    for (auto& set : sets_) set.clear();
+    hits_ = misses_ = 0;
+  }
+
+  uint64_t hits() const { return hits_; }
+  uint64_t misses() const { return misses_; }
+
+ private:
+  std::list<uint64_t>& SetFor(uint64_t line) {
+    return sets_[line & (sets_.size() - 1)];
+  }
+
+  std::vector<std::list<uint64_t>> sets_;
+  uint32_t assoc_;
+  uint64_t hits_ = 0;
+  uint64_t misses_ = 0;
+};
+
+class CacheDifferentialTest : public ::testing::TestWithParam<uint32_t> {};
+
+TEST_P(CacheDifferentialTest, MatchesReferenceLru) {
+  const uint32_t assoc = GetParam();
+  // 16 sets of `assoc` ways.
+  Cache cache(CacheConfig{16ULL * assoc * 64, 64, assoc});
+  ASSERT_EQ(cache.num_sets(), 16u);
+  ASSERT_EQ(cache.associativity(), assoc);
+  ReferenceLru ref(cache.num_sets(), assoc);
+  Rng rng(1000 + assoc);
+  // A pool of lines about three times the capacity keeps sets under
+  // eviction pressure; some lines carry high tag bits.
+  const uint64_t pool = 3 * cache.num_sets() * assoc;
+  for (int step = 0; step < 200000; ++step) {
+    uint64_t line = rng.Uniform(pool);
+    if (rng.Uniform(8) == 0) line |= 1ULL << (40 + rng.Uniform(20));
+    const uint64_t op = rng.Uniform(1000);
+    if (op < 700) {
+      ASSERT_EQ(cache.Access(line), ref.Access(line)) << "step " << step;
+    } else if (op < 850) {
+      ASSERT_EQ(cache.Contains(line), ref.Contains(line)) << "step " << step;
+    } else if (op < 998) {
+      cache.Invalidate(line);
+      ref.Invalidate(line);
+    } else {
+      cache.Reset();
+      ref.Reset();
+    }
+    ASSERT_EQ(cache.hits(), ref.hits()) << "step " << step;
+    ASSERT_EQ(cache.misses(), ref.misses()) << "step " << step;
+  }
+  EXPECT_GT(ref.hits(), 0u);
+  EXPECT_GT(ref.misses(), 0u);
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Associativities, CacheDifferentialTest,
+    ::testing::Values(1u, 2u, 4u, 8u, 20u),
+    [](const ::testing::TestParamInfo<uint32_t>& info) {
+      return std::to_string(info.param) + "w";
+    });
+
+// Concurrent mode (the shared LLC under free-running execution): every
+// Access from every thread is counted exactly once, while other threads
+// probe and invalidate the same sets.
+TEST(CacheTest, ConcurrentAccessCountsEveryCall) {
+  Cache cache(CacheConfig{64 * 1024, 64, 8});
+  cache.set_concurrent(true);
+  constexpr int kThreads = 4;
+  constexpr int kCalls = 20000;
+  std::vector<std::thread> threads;
+  for (int t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&cache, t] {
+      Rng rng(t + 1);
+      for (int i = 0; i < kCalls; ++i) cache.Access(rng.Uniform(4096));
+    });
+  }
+  std::thread prober([&cache] {
+    Rng rng(99);
+    for (int i = 0; i < kCalls; ++i) {
+      const uint64_t line = rng.Uniform(4096);
+      if (cache.Contains(line)) cache.Invalidate(line);
+    }
+  });
+  for (auto& t : threads) t.join();
+  prober.join();
+  EXPECT_EQ(cache.hits() + cache.misses(),
+            static_cast<uint64_t>(kThreads) * kCalls);
+  EXPECT_GT(cache.hits(), 0u);
+}
 
 }  // namespace
 }  // namespace imoltp::mcsim

@@ -145,18 +145,25 @@ TEST(TraceMetaTest, JsonRoundTrip) {
   EXPECT_TRUE(got.modules[0].inside_engine);
 }
 
+TEST(TraceMetaTest, RejectsLineSizeOtherThan64) {
+  TraceMeta meta;
+  meta.recorded_config.l2.line_bytes = 128;
+  TraceMeta got;
+  EXPECT_FALSE(TraceMetaFromJson(TraceMetaToJson(meta), &got).ok());
+}
+
 TEST(ConfigSpecTest, ParsesSizesAndToggles) {
   mcsim::MachineConfig c;
   ASSERT_TRUE(ApplyConfigSpec(
-                  "llc=2MB,l1d=16KB,pf=on,pfdeg=4,tlb=off,line=128", &c)
+                  "llc=2MB,l1d=16KB,pf=on,pfdeg=4,tlb=off,line=64", &c)
                   .ok());
   EXPECT_EQ(c.llc.size_bytes, 2u << 20);
   EXPECT_EQ(c.l1d.size_bytes, 16u << 10);
   EXPECT_TRUE(c.model_prefetcher);
   EXPECT_EQ(c.prefetch_degree, 4u);
   EXPECT_FALSE(c.model_tlb);
-  EXPECT_EQ(c.l1i.line_bytes, 128u);
-  EXPECT_EQ(c.llc.line_bytes, 128u);
+  EXPECT_EQ(c.l1i.line_bytes, 64u);
+  EXPECT_EQ(c.llc.line_bytes, 64u);
 }
 
 TEST(ConfigSpecTest, EmptyAndRecordedAreNoOps) {
@@ -174,8 +181,13 @@ TEST(ConfigSpecTest, RejectsMalformedSpecs) {
   EXPECT_FALSE(ApplyConfigSpec("llc=-2MB", &c).ok());
   EXPECT_FALSE(ApplyConfigSpec("=2MB", &c).ok());
   EXPECT_FALSE(ApplyConfigSpec("pf=maybe", &c).ok());
-  EXPECT_FALSE(ApplyConfigSpec("line=100", &c).ok());  // not a power of 2
-  EXPECT_FALSE(ApplyConfigSpec("line=8", &c).ok());    // below minimum
+  EXPECT_FALSE(ApplyConfigSpec("line=100", &c).ok());
+  EXPECT_FALSE(ApplyConfigSpec("line=8", &c).ok());
+  // The model addresses 64-B lines everywhere; other sizes are refused
+  // rather than half-applied to the caches alone.
+  EXPECT_FALSE(ApplyConfigSpec("line=128", &c).ok());
+  EXPECT_FALSE(ApplyConfigSpec("line=32", &c).ok());
+  EXPECT_EQ(c.l1d.line_bytes, 64u);
   EXPECT_FALSE(ApplyConfigSpec("base_cpi=abc", &c).ok());
 }
 
