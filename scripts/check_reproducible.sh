@@ -8,13 +8,16 @@
 #     under one name, say) fails to parse, so the diff exits 2.
 #
 #   check_reproducible.sh processes IMOLTP_RUN OUT_DIR
-#     Runs one 4-worker command in four processes with ASLR off
+#     Runs each of two commands in four processes with ASLR off
 #     (setarch -R) and requires every report to be byte-identical to the
 #     first up to the `host` section, which is last and measures the
 #     host, not the simulated machine. Four runs, not two: a mode whose
 #     results hang on host thread placement can still agree by chance
-#     in a single pair. Exits 77, which ctest reports as a skip,
-#     when setarch -R cannot run on this host.
+#     in a single pair. The second command, HyPer TPC-C with a short
+#     warm-up, registers compiled-procedure modules inside the measured
+#     window, which the per-transaction module accounting must charge
+#     from zero. Exits 77, which ctest reports as a skip, when
+#     setarch -R cannot run on this host.
 set -euo pipefail
 
 usage() {
@@ -48,19 +51,29 @@ case "${1:-}" in
       echo "setarch -R is unusable here; skipping" >&2
       exit 77
     fi
-    for run in 1 2 3 4; do
-      setarch -R "$imoltp_run" --engine=dbms-m --workload=tpcb \
-        --workers=4 --warmup=50 --txns=300 --seed=7 \
-        --json="$outdir/process-$run.json" 2>/dev/null
-      report=$(<"$outdir/process-$run.json")
-      printf '%s' "${report%%\"host\":*}" > "$outdir/process-$run.sim"
-      if ! cmp "$outdir/process-1.sim" "$outdir/process-$run.sim"; then
-        echo "error: same-seed processes 1 and $run wrote different" \
-             "reports" >&2
-        exit 1
-      fi
-    done
-    echo "four processes: reports identical outside host"
+    # NAME IMOLTP_RUN_FLAGS...: four same-seed processes, one report.
+    same_in_four_processes() {
+      local name=$1
+      shift
+      for run in 1 2 3 4; do
+        local out="$outdir/$name-$run"
+        setarch -R "$imoltp_run" "$@" --seed=7 --json="$out.json" \
+          2>/dev/null
+        local report
+        report=$(<"$out.json")
+        printf '%s' "${report%%\"host\":*}" > "$out.sim"
+        if ! cmp "$outdir/$name-1.sim" "$out.sim"; then
+          echo "error: $name: same-seed processes 1 and $run wrote" \
+               "different reports" >&2
+          exit 1
+        fi
+      done
+      echo "$name: four processes, reports identical outside host"
+    }
+    same_in_four_processes dbms-m-tpcb --engine=dbms-m --workload=tpcb \
+      --workers=4 --warmup=50 --txns=300
+    same_in_four_processes hyper-tpcc --engine=hyper --workload=tpcc \
+      --warehouses=2 --workers=2 --warmup=2 --txns=200
     ;;
   *)
     usage

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstring>
 #include <string>
 #include <thread>
 
@@ -12,6 +13,15 @@
 namespace imoltp::core {
 
 namespace {
+
+/// Per-module before-values of one transaction. Left uninitialised on
+/// purpose: only the registered prefix is written and read, and
+/// zero-filling all kMaxModules slots per transaction is the cost this
+/// buffer exists to avoid.
+union ModuleSnapshot {
+  ModuleSnapshot() {}
+  mcsim::ModuleCounters at[mcsim::kMaxModules];
+};
 
 /// Buckets one abort Status by cause, using the engines' stable abort
 /// message vocabulary (see docs/robustness.md).
@@ -140,11 +150,23 @@ void ExperimentRunner::RunPhase(Workload* workload, ParallelMode mode,
   auto body = [&](int w, const PhaseSinks& sinks) {
     Rng* rng = &(*rngs)[w];
     mcsim::CoreSim* core = &machine_->core(w);
-    // Full snapshot (per-module array included) so the final-outcome
-    // delta can feed both the latency histogram and the module×txn-type
-    // matrix. Warm-up skips the copy.
-    const mcsim::CoreCounters before =
-        measure ? core->counters() : mcsim::CoreCounters{};
+    // Before-values of the final-outcome delta: the core aggregate for
+    // the latency histogram, and the module×txn-type matrix's per-module
+    // counters for the registered slots [0, n_before) only. A slot at or
+    // past the registry size was never handed out and stays zero, and a
+    // module registered during the transaction (HyPer compiles lazily)
+    // starts from zero, so per-transaction cost is O(registered
+    // modules), not O(kMaxModules). Warm-up snapshots nothing.
+    mcsim::ModuleCounters before;
+    ModuleSnapshot before_modules;
+    int n_before = 0;
+    if (measure) {
+      const mcsim::CoreCounters& c = core->counters();
+      before = mcsim::AggregateCounters(c);
+      n_before = machine_->modules().size();
+      std::memcpy(before_modules.at, c.per_module.data(),
+                  n_before * sizeof(mcsim::ModuleCounters));
+    }
     bool committed_txn = false;
     bool holds_retry_token = false;
     std::vector<obs::AttemptEvent> attempt_log;
@@ -226,17 +248,24 @@ void ExperimentRunner::RunPhase(Workload* workload, ParallelMode mode,
     // feeds no cycle math).
     if (!committed_txn) core->CountAbort();
     if (measure) {
-      const mcsim::CoreCounters delta = core->counters() - before;
-      sinks.lat->Add(mcsim::SimulatedCycles(delta, params));
+      const mcsim::CoreCounters& after = core->counters();
+      sinks.lat->Add(mcsim::SimulatedCycles(
+          mcsim::AggregateCounters(after) - before, params));
       // Module×txn-type attribution: the whole final-outcome delta
       // (every attempt plus backoff) lands on this transaction's type.
+      // Slots past the registry would add SimulatedCycles of a zero
+      // delta, +0.0, which leaves a cell's bits unchanged; skip them.
       const int type = workload->LastTransactionType(w);
       if (sinks.matrix != nullptr && type >= 0 &&
           static_cast<size_t>(type) < sinks.matrix->counts.size()) {
         ++sinks.matrix->counts[type];
-        for (int m = 0; m < mcsim::kMaxModules; ++m) {
+        const int n_after = machine_->modules().size();
+        for (int m = 0; m < n_after; ++m) {
+          const mcsim::ModuleCounters delta =
+              m < n_before ? after.per_module[m] - before_modules.at[m]
+                           : after.per_module[m];
           sinks.matrix->cycles[type][m] +=
-              mcsim::SimulatedCycles(delta.per_module[m], params);
+              mcsim::SimulatedCycles(delta, params);
         }
       }
     }

@@ -1,6 +1,7 @@
 #ifndef IMOLTP_MCSIM_CODE_REGION_H_
 #define IMOLTP_MCSIM_CODE_REGION_H_
 
+#include <atomic>
 #include <cstdint>
 #include <cstdio>
 #include <mutex>
@@ -53,7 +54,11 @@ class ModuleRegistry {
   }
 
   const ModuleInfo& info(ModuleId id) const { return modules_[id]; }
-  int size() const { return static_cast<int>(modules_.size()); }
+  /// Safe to call while another thread registers: the experiment
+  /// harness reads it around every measured transaction, and in
+  /// free-running mode a worker may register a module meanwhile. Every
+  /// id below the returned count is registered.
+  int size() const { return size_.load(std::memory_order_acquire); }
 
  private:
   ModuleId Append(std::string name, bool inside_engine) {
@@ -68,11 +73,13 @@ class ModuleRegistry {
       return kNoModule;
     }
     modules_.push_back({std::move(name), inside_engine});
+    size_.store(static_cast<int>(modules_.size()), std::memory_order_release);
     return static_cast<ModuleId>(modules_.size() - 1);
   }
 
   std::mutex mu_;
   std::vector<ModuleInfo> modules_;
+  std::atomic<int> size_{1};
   bool overflowed_ = false;
 };
 

@@ -29,6 +29,26 @@ double ThreadCpuSeconds();
 /// are meaningless, only the high-water mark is reported.
 uint64_t PeakRssBytes();
 
+/// Peak resident set size over one interval, for a tool that measures
+/// several cells in one process (imoltp_bench). Construction returns
+/// freed heap to the kernel (glibc malloc_trim) and restarts the
+/// kernel's high-water mark (writes "5" to /proc/self/clear_refs);
+/// PeakBytes() then reads VmHWM from /proc/self/status. Where either
+/// file is unusable, PeakBytes() falls back to the process-lifetime
+/// PeakRssBytes().
+class IntervalPeakRss {
+ public:
+  IntervalPeakRss();
+
+  /// Whether the high-water mark was restarted, i.e. whether PeakBytes()
+  /// covers this interval rather than the process lifetime.
+  bool reset() const { return reset_; }
+  uint64_t PeakBytes() const;
+
+ private:
+  bool reset_;
+};
+
 /// Scoped monotonic timer: adds the elapsed wall seconds to `*sink` on
 /// destruction. Accumulating (+=) so repeated phases of the same kind
 /// (e.g. one warm-up per Run call) sum naturally.

@@ -8,6 +8,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -38,6 +39,25 @@ TEST(HostMetricsTest, ThreadCpuAndRssAreSane) {
   // ru_maxrss is supported on every platform CI runs on; a test binary
   // with gtest linked in certainly exceeds 1 MB resident.
   EXPECT_GT(obs::PeakRssBytes(), uint64_t{1} << 20);
+}
+
+TEST(HostMetricsTest, IntervalPeakRssForgetsAFreedPeak) {
+  constexpr size_t kBytes = size_t{64} << 20;
+  {
+    // Large enough that malloc maps it and free hands it back. Volatile
+    // stores, so every page really becomes resident.
+    const std::unique_ptr<uint8_t[]> block(new uint8_t[kBytes]);
+    volatile uint8_t* bytes = block.get();
+    for (size_t i = 0; i < kBytes; i += 4096) bytes[i] = 1;
+  }
+  const uint64_t lifetime_peak = obs::PeakRssBytes();
+  const obs::IntervalPeakRss interval;
+  if (!interval.reset()) {
+    GTEST_SKIP() << "/proc/self/clear_refs is not writable here";
+  }
+  // The 64 MB are gone, so the restarted high-water mark sits well
+  // below the lifetime peak that still counts them.
+  EXPECT_LT(interval.PeakBytes() + kBytes / 2, lifetime_peak);
 }
 
 TEST(HostMetricsTest, PhaseTimerAccumulatesAcrossScopes) {

@@ -1,5 +1,7 @@
 #include <gtest/gtest.h>
 
+#include <cmath>
+
 #include "mcsim/machine.h"
 #include "mcsim/profiler.h"
 
@@ -151,6 +153,22 @@ TEST(CycleModelTest, FormulaComposition) {
                           4 * p.mispredict_penalty +
                           3 * p.tlb_walk_cycles;
   EXPECT_NEAR(SimulatedCycles(c, p), expected, 1e-9);
+}
+
+TEST(CycleModelTest, ZeroCountersCostPositiveZero) {
+  // The experiment harness skips per-module slots that were never
+  // registered instead of adding their zero delta to the module×txn-type
+  // matrix. That is exact only because a zero delta costs +0.0, and
+  // x + (+0.0) has x's bits for every x a matrix cell can hold.
+  const CycleModelParams p;
+  const double zero = SimulatedCycles(ModuleCounters{}, p);
+  EXPECT_EQ(zero, 0.0);
+  EXPECT_FALSE(std::signbit(zero));
+  ModuleCounters c;
+  c.instructions = 70;
+  c.base_cycles = 31.5;
+  c.misses.llc_d = 1;
+  EXPECT_FALSE(std::signbit(SimulatedCycles(c - c, p)));
 }
 
 TEST(CycleModelTest, LlcAmplificationRampsWithMissDensity) {

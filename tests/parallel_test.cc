@@ -4,8 +4,11 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+
 #include "core/experiment.h"
 #include "core/microbench.h"
+#include "core/tpcc.h"
 
 namespace imoltp::core {
 namespace {
@@ -67,6 +70,50 @@ TEST(ParallelModeTest, SingleWorkerIgnoresMode) {
   ASSERT_TRUE(serial.ok());
   EXPECT_DOUBLE_EQ(free_run->instructions, serial->instructions);
   EXPECT_DOUBLE_EQ(free_run->transactions, serial->transactions);
+}
+
+TEST(ParallelModeTest, FreeHyPerTpccRegistersModulesInsideTheWindow) {
+  // HyPer compiles each TPC-C procedure on first dispatch, so with a
+  // two-transaction warm-up most compiled modules register inside the
+  // measured phase, from whichever worker draws the procedure first,
+  // while the other workers read the registry size around every
+  // transaction. Under TSan (scripts/tsan.sh) this is the race check
+  // for that read.
+  core::TpccConfig tcfg;
+  tcfg.warehouses = 4;
+  tcfg.orders_per_district = 40;
+  tcfg.num_partitions = 4;
+  core::TpccBenchmark wl(tcfg);
+  ExperimentConfig cfg = ParallelConfig(EngineKind::kHyPer,
+                                        ParallelMode::kFree);
+  cfg.warmup_txns = 2;
+  cfg.measure_txns = 100;
+  int modules_after_warmup = 0;
+  cfg.hooks.post_warmup = [&](mcsim::MachineSim* machine) {
+    modules_after_warmup = machine->modules().size();
+    return Status::Ok();
+  };
+  auto runner = ExperimentRunner::Create(cfg, &wl);
+  ASSERT_TRUE(runner.ok()) << runner.status().ToString();
+  const auto report = (*runner)->Run(&wl);
+  ASSERT_TRUE(report.ok()) << report.status().ToString();
+
+  const mcsim::ModuleRegistry& modules = (*runner)->machine()->modules();
+  ASSERT_GT(modules.size(), modules_after_warmup);
+  // A module registered mid-window is charged from a zero start: its
+  // cycles reach the module×txn-type matrix.
+  for (int m = modules_after_warmup; m < modules.size(); ++m) {
+    const std::string& name = modules.info(m).name;
+    double cycles = 0.0;
+    for (const mcsim::TxnTypeShare& row : report->txn_module_matrix) {
+      for (const mcsim::ModuleShare& share : row.modules) {
+        if (share.name == name) cycles += share.cycles;
+      }
+    }
+    EXPECT_GT(cycles, 0.0) << name;
+  }
+  EXPECT_EQ((*runner)->latency_histogram().count(),
+            cfg.measure_txns * static_cast<uint64_t>(cfg.num_workers));
 }
 
 // Free-running mode gives up the deterministic interleaving but not the

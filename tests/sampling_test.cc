@@ -18,6 +18,7 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <cstdint>
 #include <cstdio>
 #include <set>
@@ -514,6 +515,58 @@ TEST(TxnMatrixTest, TpccMatrixCoversTheMix) {
     if (row.txn_type == "stock_level") stock_level = row.count;
   }
   EXPECT_GT(new_order, stock_level);
+}
+
+// Fills the stack below the caller's frame with 0xFF bytes, a NaN as a
+// double, so that a later read of a stack slot nobody wrote turns
+// whatever it feeds into NaN.
+[[gnu::noinline]] void PoisonStack() {
+  volatile unsigned char bytes[64 << 10];
+  for (size_t i = 0; i < sizeof(bytes); ++i) bytes[i] = 0xFF;
+}
+
+TEST(TxnMatrixTest, ModulesRegisteredMidWindowAreChargedFromZero) {
+  // HyPer compiles each TPC-C procedure on first dispatch, so after a
+  // two-transaction warm-up most procedures register inside the
+  // measured window. The harness snapshots only the modules registered
+  // before each transaction; a newer module must be charged from zero,
+  // never from the unwritten rest of the snapshot, which the poisoned
+  // stack would turn into NaN cycles.
+  core::TpccConfig tcfg;
+  tcfg.warehouses = 2;
+  tcfg.orders_per_district = 40;
+  tcfg.num_partitions = 2;
+  core::TpccBenchmark wl(tcfg);
+  ExperimentConfig cfg =
+      SampledConfig(EngineKind::kHyPer, ParallelMode::kSerial);
+  cfg.warmup_txns = 2;
+  cfg.measure_txns = 100;
+  int modules_after_warmup = 0;
+  cfg.hooks.post_warmup = [&](mcsim::MachineSim* machine) {
+    modules_after_warmup = machine->modules().size();
+    return Status::Ok();
+  };
+  auto runner = core::ExperimentRunner::Create(cfg, &wl);
+  ASSERT_TRUE(runner.ok()) << runner.status().ToString();
+  PoisonStack();
+  const auto run = (*runner)->Run(&wl);
+  ASSERT_TRUE(run.ok()) << run.status().ToString();
+
+  const mcsim::ModuleRegistry& modules = (*runner)->machine()->modules();
+  ASSERT_GT(modules.size(), modules_after_warmup);
+  std::set<std::string> charged;
+  for (const mcsim::TxnTypeShare& row : run->txn_module_matrix) {
+    EXPECT_TRUE(std::isfinite(row.cycles)) << row.txn_type;
+    for (const mcsim::ModuleShare& share : row.modules) {
+      EXPECT_TRUE(std::isfinite(share.cycles))
+          << row.txn_type << " / " << share.name;
+      charged.insert(share.name);
+    }
+  }
+  for (int m = modules_after_warmup; m < modules.size(); ++m) {
+    EXPECT_EQ(charged.count(modules.info(m).name), 1u)
+        << modules.info(m).name;
+  }
 }
 
 TEST(TxnMatrixTest, WorkloadDefaultsToSingleTypeVocabulary) {

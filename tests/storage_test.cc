@@ -121,6 +121,22 @@ TEST_F(BufferPoolTest, NewPageComesUpZeroFilled) {
   EXPECT_EQ(pool.stats().misses, 1u);
 }
 
+TEST_F(BufferPoolTest, FirstFixIsZeroFilledInAFrameEvictedDirty) {
+  BufferPool pool(1, 8192);
+  uint8_t* page = pool.FixPage(core_, 1);
+  ASSERT_NE(page, nullptr);
+  std::memset(page, 0x5A, 8192);
+  pool.UnfixPage(core_, 1, /*dirty=*/true);
+  // The only frame now holds page 1's bytes; page 2 evicts it and must
+  // still come up as a fresh, all-zero page.
+  page = pool.FixPage(core_, 2);
+  ASSERT_NE(page, nullptr);
+  EXPECT_FALSE(pool.IsResident(1));
+  EXPECT_EQ(pool.stats().dirty_writebacks, 1u);
+  for (int i = 0; i < 8192; ++i) ASSERT_EQ(page[i], 0) << "byte " << i;
+  pool.UnfixPage(core_, 2, false);
+}
+
 TEST_F(BufferPoolTest, RefixHits) {
   BufferPool pool(8, 8192);
   pool.UnfixPage(core_, 1, false);  // unknown page: no-op

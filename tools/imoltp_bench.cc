@@ -23,7 +23,8 @@
 //                        tpcc-cluster). tpcc-cluster runs the 3-node
 //                        src/dist cluster (serial mode only; other
 //                        modes skip the cell) and reports cluster-wide
-//                        averages; its host axis is wall-clock-only.
+//                        averages; its host axis is wall-clock and
+//                        peak RSS only.
 //   --modes=A,B,...      subset of serial,free (default serial)
 //   --workers=N          worker threads == partitions (default 2)
 //   --txns=N             measured transactions per worker (default 2000)
@@ -231,15 +232,15 @@ bool RunCell(const BenchFlags& bench, const std::string& engine,
   cell->simulated_refs = host.simulated_refs;
   cell->refs_per_sec = host.refs_per_second;
   cell->instructions_per_sec = host.instructions_per_second;
-  cell->peak_rss_bytes = host.peak_rss_bytes;
   return true;
 }
 
 /// Runs one distributed cell: a 3-node src/dist cluster at the bench's
 /// scale, reporting cluster-wide averages of the simulated metrics. The
-/// host axis is wall-clock-only (refs/sec stays 0 → imoltp_compare's
-/// timing fallback), because per-node machines count their references
-/// behind the cluster driver, not through the single-run host profiler.
+/// host axis is wall-clock and peak RSS only (refs/sec stays 0 →
+/// imoltp_compare's timing fallback), because per-node machines count
+/// their references behind the cluster driver, not through the
+/// single-run host profiler.
 bool RunClusterCell(const BenchFlags& bench, const std::string& engine,
                     obs::BenchCell* cell, std::string* error) {
   dist::ClusterConfig cfg;
@@ -360,29 +361,26 @@ int main(int argc, char** argv) {
         ++done;
         std::fprintf(stderr, "[%zu/%zu] %s / %s / %s ...\n", done, total,
                      engine.c_str(), workload.c_str(), mode.c_str());
-        if (workload == "tpcc-cluster") {
-          // The cluster driver is deterministic by construction; the
-          // mode axis does not apply. Run the cell once, under the
-          // serial label, and skip the other modes quietly.
-          if (mode != "serial") continue;
-          obs::BenchCell cell;
-          if (!RunClusterCell(bench, engine, &cell, &error)) {
-            std::fprintf(stderr, "%s: %s/%s failed: %s\n", argv[0],
-                         engine.c_str(), workload.c_str(), error.c_str());
-            ++failures;
-            continue;
-          }
-          matrix.cells.push_back(cell);
-          continue;
-        }
+        // The cluster driver is deterministic by construction; the
+        // mode axis does not apply. Run the cell once, under the
+        // serial label, and skip the other modes quietly.
+        const bool cluster = workload == "tpcc-cluster";
+        if (cluster && mode != "serial") continue;
         obs::BenchCell cell;
-        if (!RunCell(bench, engine, workload, mode, &cell, &error)) {
+        // Per-cell peak RSS: the process-lifetime peak would carry the
+        // largest earlier cell into every later one.
+        const obs::IntervalPeakRss rss;
+        const bool ok =
+            cluster ? RunClusterCell(bench, engine, &cell, &error)
+                    : RunCell(bench, engine, workload, mode, &cell, &error);
+        if (!ok) {
           std::fprintf(stderr, "%s: %s/%s/%s failed: %s\n", argv[0],
                        engine.c_str(), workload.c_str(), mode.c_str(),
                        error.c_str());
           ++failures;
           continue;
         }
+        cell.peak_rss_bytes = rss.PeakBytes();
         matrix.cells.push_back(cell);
       }
     }
