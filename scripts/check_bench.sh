@@ -1,10 +1,12 @@
 #!/usr/bin/env bash
 # Bench-pipeline smoke check: runs a tiny imoltp_bench sweep, asserts
 # that the matrix self-compares clean through imoltp_compare (exit 0),
-# and that an injected refs/sec collapse, or a candidate whose cell ids
-# pair with none of the baseline's, trips the gate (exit non-zero). Exercises the full trajectory loop — run, serialize,
-# parse, tolerance rules — in a few seconds; CI and ctest both run it
-# (docs/OBSERVABILITY.md, "Benchmark trajectories").
+# that an injected refs/sec collapse, or a candidate whose cell ids
+# pair with none of the baseline's, trips the gate (exit non-zero), and
+# that a tpcc-cluster cell reports simulated refs/sec. Exercises the
+# full trajectory loop — run, serialize, parse, tolerance rules — in a
+# few seconds; CI and ctest both run it (docs/OBSERVABILITY.md,
+# "Benchmark trajectories").
 #
 # usage: check_bench.sh IMOLTP_BENCH IMOLTP_COMPARE [OUT_DIR]
 set -euo pipefail
@@ -52,3 +54,20 @@ if [ "$rc" -ne 1 ]; then
   exit 1
 fi
 echo "unpaired candidate: rejected (as it must be)"
+
+# 4. A tpcc-cluster cell carries the same host axis as single-node
+# cells: simulated refs and refs/sec over its measured rounds.
+cluster="$outdir/BENCH_cluster.json"
+"$imoltp_bench" --label=cluster --out="$cluster" --engines=hyper \
+                --workloads=tpcc-cluster --workers=2 --warehouses=2 \
+                --txns=100 --warmup=20 --seed=11 >/dev/null 2>&1
+python3 - "$cluster" <<'PY'
+import json, sys
+cells = json.load(open(sys.argv[1]))["cells"]
+assert len(cells) == 1, cells
+cell = cells[0]
+assert cell["simulated_refs"] > 0, cell
+assert cell["refs_per_sec"] > 0, cell
+assert 0 < cell["wall_seconds"] <= cell["total_wall_seconds"], cell
+PY
+echo "cluster cell: simulated refs and refs/sec filled"

@@ -6,6 +6,7 @@
 #include "dist/cluster_invariants.h"
 #include "fault/fingerprint.h"
 #include "mcsim/counters.h"
+#include "obs/host_metrics.h"
 
 namespace imoltp::dist {
 
@@ -507,7 +508,9 @@ Status Cluster::Run() {
   if (!s.ok()) return s;
 
   for (auto& node : nodes_) node->BeginWindow();
+  const double measure_start = obs::MonotonicSeconds();
   s = RunPhase(config_.txns_per_node, /*measure=*/true);
+  measure_seconds_ = obs::MonotonicSeconds() - measure_start;
   if (!s.ok()) return s;
   for (auto& node : nodes_) node->EndWindow();
 
@@ -544,6 +547,12 @@ Status Cluster::Run() {
   result_.fault_points = injector_.Stats();
   ComputeFingerprint();
   return Status::Ok();
+}
+
+uint64_t Cluster::measured_refs() const {
+  uint64_t refs = 0;
+  for (const auto& node : nodes_) refs += node->window_refs();
+  return refs;
 }
 
 void Cluster::ComputeFingerprint() {

@@ -123,6 +123,13 @@ class Cluster {
   const TxnTracer& tracer() const { return tracer_; }
   const GlobalOrderer& orderer() const { return orderer_; }
 
+  /// Host cost of the measured rounds: their wall-clock seconds, and
+  /// the simulated references all nodes made in their measurement
+  /// windows. Host-side only; neither feeds result() or the
+  /// fingerprint.
+  double measure_seconds() const { return measure_seconds_; }
+  uint64_t measured_refs() const;
+
  private:
   /// Draws one client transaction at `origin` (all RNG consumed here).
   DistTxn GenerateTxn(int origin, Rng* rng);
@@ -157,6 +164,7 @@ class Cluster {
   TxnTracer tracer_;
   uint64_t round_ = 0;
   ClusterResult result_;
+  double measure_seconds_ = 0.0;
 };
 
 }  // namespace imoltp::dist

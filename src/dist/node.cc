@@ -2,6 +2,15 @@
 
 namespace imoltp::dist {
 
+namespace {
+
+uint64_t SimulatedRefs(const mcsim::MachineSim& machine) {
+  const mcsim::CoreCounters total = machine.TotalCounters();
+  return total.code_line_fetches + total.data_accesses;
+}
+
+}  // namespace
+
 Node::Node(const NodeConfig& config) : config_(config) {
   core::TpccConfig tc;
   tc.warehouses = config_.warehouses;
@@ -33,6 +42,7 @@ void Node::BeginWindow() {
   std::vector<int> cores(static_cast<size_t>(config_.workers));
   for (int i = 0; i < config_.workers; ++i) cores[static_cast<size_t>(i)] = i;
   profiler_->BeginWindow(cores);
+  window_start_refs_ = SimulatedRefs(*machine_);
   window_open_ = true;
   has_window_ = false;
 }
@@ -40,6 +50,7 @@ void Node::BeginWindow() {
 void Node::EndWindow() {
   if (!window_open_) return;
   window_ = profiler_->EndWindow();
+  window_refs_ = SimulatedRefs(*machine_) - window_start_refs_;
   profiler_.reset();
   window_open_ = false;
   has_window_ = true;
@@ -63,7 +74,8 @@ Status Node::Recover() {
   if (alive_) return Status::Ok();
   const Status s = Create();
   if (!s.ok()) return s;
-  return engine_->Replay(saved_log_);
+  return engine_->Recover(/*device=*/{}, saved_log_,
+                          /*log_truncation_lsn=*/0, nullptr);
 }
 
 std::vector<txn::LogRecord> Node::DurableLog() const {

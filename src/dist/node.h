@@ -93,6 +93,11 @@ class Node {
   const mcsim::WindowReport& window() const { return window_; }
   bool has_window() const { return has_window_; }
 
+  /// Simulated references (code-line fetches + data accesses) the
+  /// node's cores made in the measurement window — up to its death for
+  /// a node killed mid-window. Valid after EndWindow().
+  uint64_t window_refs() const { return window_refs_; }
+
   /// Home worker core of node-local warehouse `local_w` (same formula
   /// the single-node TPC-C harness uses to route warehouses to
   /// partitions).
@@ -116,6 +121,8 @@ class Node {
   std::unique_ptr<mcsim::Profiler> profiler_;
   NodeStats stats_;
   mcsim::WindowReport window_;
+  uint64_t window_start_refs_ = 0;
+  uint64_t window_refs_ = 0;
   bool window_open_ = false;
   bool has_window_ = false;
   bool alive_ = false;

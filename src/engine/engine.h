@@ -221,29 +221,32 @@ class Engine {
   /// (crash.post_commit faults recover from this, not StableLog).
   virtual std::vector<txn::LogRecord> FlushedLog() const = 0;
 
-  /// Crash recovery: REDOes the committed transactions of `log` onto
-  /// this engine's tables and indexes. Call on a freshly created
-  /// database (same TableDefs as the crashed instance). Logical
-  /// kCommand records (VoltDB-style command logging) are not physically
-  /// replayable and are skipped.
-  virtual Status Replay(const std::vector<txn::LogRecord>& log) = 0;
-
   /// Advances the fuzzy checkpoint state machine after `worker` retired
   /// a transaction. No-op unless options.checkpoint.enabled.
   virtual void CheckpointTick(int /*worker*/) {}
 
-  /// Checkpoint-aware recovery: restores the newest usable checkpoint
-  /// from `device` (torn pages discard a checkpoint in favor of the
-  /// previous complete one), replays the retained `log` from the
-  /// truncation anchor, and rolls back losers with before-images. Falls
-  /// back to plain Replay when no checkpoint is usable — unless the log
-  /// was truncated (`log_truncation_lsn` > 0), which makes full replay
-  /// unsound and recovery fails with an error. Call on a freshly
-  /// created database.
+  /// Crash recovery onto a freshly created database (same TableDefs as
+  /// the crashed instance). Restores the newest usable checkpoint from
+  /// `device` (torn pages discard a checkpoint in favor of the previous
+  /// complete one), REDOes the committed transactions of the retained
+  /// `log` from the truncation anchor, and rolls back losers with
+  /// before-images. With no usable checkpoint (an empty `device`
+  /// included) it REDOes the whole log — unless the log was truncated
+  /// (`log_truncation_lsn` > 0), which makes full replay unsound and
+  /// recovery fails with an error. Logical kCommand records
+  /// (VoltDB-style command logging) are not physically replayable and
+  /// are skipped. `stats` may be null.
   virtual Status Recover(const std::vector<txn::CheckpointImage>& device,
                          const std::vector<txn::LogRecord>& log,
                          uint64_t log_truncation_lsn,
                          txn::RecoveryStats* stats) = 0;
+
+  /// Recover() from the log alone: no checkpoint device, no truncation.
+  /// Nothing in src/ calls it; it stays virtual because engine wrappers
+  /// that forward every call (perfbench/layers.h) override it.
+  virtual Status Replay(const std::vector<txn::LogRecord>& log) {
+    return Recover(/*device=*/{}, log, /*log_truncation_lsn=*/0, nullptr);
+  }
 
   /// The live checkpoint manager (null when checkpointing is disabled).
   virtual const txn::CheckpointManager* checkpoints() const {

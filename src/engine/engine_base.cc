@@ -438,13 +438,6 @@ std::vector<txn::LogRecord> EngineBase::FlushedLog() const {
   return merged;
 }
 
-Status EngineBase::Replay(const std::vector<txn::LogRecord>& log) {
-  machine_->SetEnabled(false);
-  const Status result = RedoPass(log, nullptr);
-  machine_->SetEnabled(true);
-  return result;
-}
-
 Status EngineBase::RedoPass(const std::vector<txn::LogRecord>& log,
                             txn::RecoveryStats* stats) {
   // A torn record (bad checksum on the device) ends the usable log:

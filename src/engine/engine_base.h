@@ -29,7 +29,6 @@ class EngineBase : public Engine {
   Status CreateDatabase(const std::vector<TableDef>& defs) override;
   std::vector<txn::LogRecord> StableLog() const override;
   std::vector<txn::LogRecord> FlushedLog() const override;
-  Status Replay(const std::vector<txn::LogRecord>& log) override;
   void CheckpointTick(int worker) override;
   Status Recover(const std::vector<txn::CheckpointImage>& device,
                  const std::vector<txn::LogRecord>& log,

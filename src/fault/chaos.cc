@@ -182,13 +182,8 @@ StatusOr<ChaosReport> RunChaos(const ChaosOptions& opt) {
         engine::CreateEngine(opt.engine, &machine2, eopts);
     Status s = recovered->CreateDatabase(workload->Tables());
     if (!s.ok()) return s;
-    if (cm != nullptr) {
-      s = recovered->Recover(device, log, cyc.log_truncation_lsn,
-                             &cyc.recovery);
-    } else {
-      s = recovered->Replay(log);
-      cyc.recovery.replayed_records = log.size();
-    }
+    s = recovered->Recover(device, log, cyc.log_truncation_lsn,
+                           &cyc.recovery);
     if (!s.ok()) return s;
 
     if (tpcb != nullptr) {

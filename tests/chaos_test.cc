@@ -119,6 +119,26 @@ TEST(ChaosDeterminismTest, SameSeedSameFingerprint) {
   }
 }
 
+TEST(ChaosRecoveryTest, NoCheckpointCountsRecordsActuallyRedone) {
+  // Without checkpoints recovery REDOes the whole log, but only the
+  // committed transactions' data records: commit markers are not
+  // redone. A crash-free, abort-free cycle logs one commit record per
+  // transaction the options asked for, so everything else in the log
+  // is a committed data record.
+  const ChaosOptions opt = FastOptions(EngineKind::kShoreMt, "tpcb");
+  const auto result = RunChaos(opt);
+  ASSERT_TRUE(result.ok()) << result.status().ToString();
+  const ChaosCycleResult& c = result->cycles[0];
+  ASSERT_TRUE(c.crash_point.empty());
+  ASSERT_EQ(c.breakdown.total, 0u);
+  EXPECT_FALSE(c.recovery.used_checkpoint);
+  const uint64_t commit_records =
+      static_cast<uint64_t>(opt.workers) *
+      (opt.warmup_txns + opt.measure_txns);
+  EXPECT_LT(c.recovery.replayed_records, c.log_records);
+  EXPECT_EQ(c.recovery.replayed_records, c.log_records - commit_records);
+}
+
 TEST(ChaosRetryTest, RetryLiftsCommitsUnderConflictStorm) {
   // An injected lock-conflict storm aborts a third of acquisitions.
   // Without retry those transactions are lost; with bounded-backoff

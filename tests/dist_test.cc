@@ -241,6 +241,28 @@ TEST(ClusterChaosTest, NodeDeathRecoveryPreservesInvariants) {
               : c.result().invariants.violations[0]);
 }
 
+TEST(ClusterChaosTest, KilledNodeCountsRefsUpToItsDeath) {
+  ClusterConfig cfg = SmallConfig();
+  cfg.engine_kind = engine::EngineKind::kHyPer;
+  cfg.chaos.enabled = true;
+  cfg.chaos.nth_hit = 10;  // dies early in the measured window
+  Cluster c(cfg);
+  ASSERT_TRUE(c.Create().ok());
+  ASSERT_TRUE(c.Run().ok());
+  ASSERT_GE(c.result().died_node, 0);
+  const uint64_t dead = c.node(c.result().died_node)->window_refs();
+  uint64_t sum = 0;
+  for (int n = 0; n < c.num_nodes(); ++n) {
+    sum += c.node(n)->window_refs();
+    if (n != c.result().died_node) {
+      EXPECT_GT(c.node(n)->window_refs(), dead) << "node " << n;
+    }
+  }
+  EXPECT_GT(dead, 0u);
+  EXPECT_EQ(c.measured_refs(), sum);
+  EXPECT_GT(c.measure_seconds(), 0.0);
+}
+
 TEST(ClusterChaosTest, ChaosRunsAreDeterministicToo) {
   ClusterConfig cfg = SmallConfig();
   cfg.chaos.enabled = true;

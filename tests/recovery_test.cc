@@ -53,7 +53,10 @@ class RecoveryTest : public ::testing::TestWithParam<EngineKind> {
     auto recovered =
         CreateEngine(GetParam(), fresh_machine, EngineOptions());
     EXPECT_TRUE(recovered->CreateDatabase({SimpleTable(kRows)}).ok());
-    EXPECT_TRUE(recovered->Replay(engine_->StableLog()).ok());
+    EXPECT_TRUE(recovered
+                    ->Recover({}, engine_->StableLog(),
+                              /*log_truncation_lsn=*/0, nullptr)
+                    .ok());
     return recovered;
   }
 
@@ -198,7 +201,10 @@ TEST_P(RecoveryTest, ReplayIsIdempotentOnFreshState) {
   mcsim::MachineSim fresh(NoTlb());
   auto recovered = Recover(&fresh);
   // A second REDO pass of pure updates must not change the outcome.
-  ASSERT_TRUE(recovered->Replay(engine_->StableLog()).ok());
+  ASSERT_TRUE(recovered
+                  ->Recover({}, engine_->StableLog(),
+                            /*log_truncation_lsn=*/0, nullptr)
+                  .ok());
   bool found = false;
   EXPECT_EQ(ReadValue(recovered.get(), 9, &found), 4242);
 }
@@ -240,7 +246,8 @@ TEST_P(RecoveryTest, AbortRecordSuppressesInterleavedDelete) {
   mcsim::MachineSim fresh(NoTlb());
   auto recovered = CreateEngine(GetParam(), &fresh, EngineOptions());
   ASSERT_TRUE(recovered->CreateDatabase({SimpleTable(kRows)}).ok());
-  ASSERT_TRUE(recovered->Replay(log).ok());
+  ASSERT_TRUE(
+      recovered->Recover({}, log, /*log_truncation_lsn=*/0, nullptr).ok());
   bool found = true;
   ReadValue(recovered.get(), 7, &found);
   EXPECT_FALSE(found) << "committed delete lost";
@@ -278,7 +285,8 @@ TEST_P(RecoveryTest, TruncatedMidTransactionDropsUncommittedTail) {
   mcsim::MachineSim fresh(NoTlb());
   auto recovered = CreateEngine(GetParam(), &fresh, EngineOptions());
   ASSERT_TRUE(recovered->CreateDatabase({SimpleTable(kRows)}).ok());
-  ASSERT_TRUE(recovered->Replay(log).ok());
+  ASSERT_TRUE(
+      recovered->Recover({}, log, /*log_truncation_lsn=*/0, nullptr).ok());
   for (int64_t i = 0; i < 5; ++i) {
     bool found = false;
     EXPECT_EQ(ReadValue(recovered.get(), 200 + i, &found), 7000 + i);
@@ -317,7 +325,8 @@ TEST_P(RecoveryTest, TornRecordEndsTheUsableLog) {
   mcsim::MachineSim fresh(NoTlb());
   auto recovered = CreateEngine(GetParam(), &fresh, EngineOptions());
   ASSERT_TRUE(recovered->CreateDatabase({SimpleTable(kRows)}).ok());
-  ASSERT_TRUE(recovered->Replay(log).ok());
+  ASSERT_TRUE(
+      recovered->Recover({}, log, /*log_truncation_lsn=*/0, nullptr).ok());
   for (int64_t i = 0; i < 2; ++i) {
     bool found = false;
     EXPECT_EQ(ReadValue(recovered.get(), 300 + i, &found), 8000 + i);
@@ -625,14 +634,15 @@ TEST(CommandLogTest, VoltDbLogsCommandsNotPhysicalRecords) {
     if (rec.op == txn::LogOp::kCommand) has_command = true;
   }
   EXPECT_TRUE(has_command);
-  // Replay skips logical records without failing.
-  EXPECT_TRUE(engine->Replay(log).ok());
+  // Recovery skips logical records without failing.
+  EXPECT_TRUE(
+      engine->Recover({}, log, /*log_truncation_lsn=*/0, nullptr).ok());
 }
 
 TEST(CommandLogTest, VoltDbToleratesTruncatedAndAbortedCommandLog) {
   // The fifth engine's logical log has no physical REDO content, but
   // recovery must still accept a damaged one: a mid-transaction
-  // truncation or an interleaved abort record cannot make Replay fail
+  // truncation or an interleaved abort record cannot make recovery fail
   // or corrupt the freshly populated database.
   mcsim::MachineSim m(NoTlb());
   auto engine =
@@ -661,7 +671,8 @@ TEST(CommandLogTest, VoltDbToleratesTruncatedAndAbortedCommandLog) {
   auto recovered =
       CreateEngine(EngineKind::kVoltDb, &fresh, EngineOptions());
   ASSERT_TRUE(recovered->CreateDatabase({SimpleTable(1000)}).ok());
-  EXPECT_TRUE(recovered->Replay(log).ok());
+  EXPECT_TRUE(
+      recovered->Recover({}, log, /*log_truncation_lsn=*/0, nullptr).ok());
   storage::RowId rid;
   TxnRequest probe;
   EXPECT_TRUE(recovered

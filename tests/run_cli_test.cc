@@ -124,6 +124,47 @@ TEST(ParseCommandLineTest, RejectsBadSampleEvery) {
   }
 }
 
+TEST(ParseCommandLineTest, RefusesMalformedAndOutOfRangeValues) {
+  // Each would otherwise run a different experiment than the one asked
+  // for: a count of 0 or 12, a wrapped seed, a default index, or a
+  // worker count no other tool accepts.
+  struct Case {
+    const char* arg;
+    const char* want;
+  };
+  for (const Case& c :
+       {Case{"--txns=abc", "--txns"}, Case{"--txns=12x", "--txns"},
+        Case{"--warmup=-1", "--warmup"}, Case{"--seed=-1", "--seed"},
+        Case{"--workers=0", "--workers"},
+        Case{"--workers=65", "out of range 1..64"},
+        Case{"--warehouses=4097", "out of range 1..4096"},
+        Case{"--engine=typo", "choices: shore-mt dbms-d voltdb hyper"},
+        Case{"--workload=tpce", "choices: micro"},
+        Case{"--index=bogus", "choices: hash btree"},
+        Case{"--mode=bogus", "choices: serial free"},
+        Case{"--chaos-points=no.such=0.5", "unknown fault point"},
+        Case{"--csv=yes", "--csv takes no value"}}) {
+    Flags flags;
+    auto [ok, error] = Parse({c.arg}, &flags);
+    EXPECT_FALSE(ok) << c.arg;
+    EXPECT_NE(error.find(c.want), std::string::npos)
+        << c.arg << ": " << error;
+  }
+}
+
+TEST(ParseCommandLineTest, KeepsTheAliases) {
+  Flags flags;
+  auto [ok, error] = Parse({"--mode=deterministic", "--list"}, &flags);
+  ASSERT_TRUE(ok) << error;
+  EXPECT_EQ(flags.mode, "serial");
+  EXPECT_TRUE(flags.help);
+  for (const char* help : {"--help", "-h"}) {
+    Flags other;
+    ASSERT_TRUE(Parse({help}, &other).first) << help;
+    EXPECT_TRUE(other.help) << help;
+  }
+}
+
 TEST(ParseCommandLineTest, EmptyTimelineOutFails) {
   Flags flags;
   auto [ok, error] = Parse({"--timeline-out="}, &flags);

@@ -185,7 +185,10 @@ TEST(SecondaryRecoveryTest, ReplayRebuildsSecondaries) {
   auto recovered = CreateEngine(EngineKind::kHyPer, &fresh,
                                 EngineOptions());
   ASSERT_TRUE(recovered->CreateDatabase({GroupedTable(100)}).ok());
-  ASSERT_TRUE(recovered->Replay(engine->StableLog()).ok());
+  ASSERT_TRUE(recovered
+                  ->Recover({}, engine->StableLog(),
+                            /*log_truncation_lsn=*/0, nullptr)
+                  .ok());
 
   std::vector<storage::RowId> rows;
   ASSERT_TRUE(recovered

@@ -12,28 +12,9 @@
 //   imoltp_bench --engines=voltdb,hyper --workloads=tpcb --txns=500
 //   imoltp_compare BENCH_baseline.json BENCH_pr42.json
 //
-// Flags:
-//   --label=NAME         matrix label (default "local")
-//   --out=FILE           output path (default BENCH_<label>.json,
-//                        "-" = stdout)
-//   --engines=A,B,...    subset of shore-mt,dbms-d,voltdb,hyper,dbms-m
-//                        (default all five)
-//   --workloads=A,B,...  subset of micro,micro-rw,micro-string,tpcb,
-//                        tpcc,tpcc-cluster (default tpcb,tpcc,
-//                        tpcc-cluster). tpcc-cluster runs the 3-node
-//                        src/dist cluster (serial mode only; other
-//                        modes skip the cell) and reports cluster-wide
-//                        averages; its host axis is wall-clock and
-//                        peak RSS only.
-//   --modes=A,B,...      subset of serial,free (default serial)
-//   --workers=N          worker threads == partitions (default 2)
-//   --txns=N             measured transactions per worker (default 2000)
-//   --warmup=N           warm-up transactions per worker (default 500)
-//   --db=SIZE            nominal database size (default 1MB)
-//   --warehouses=N       TPC-C scale (default 2)
-//   --seed=N             (default 42)
-//   --commit=REV         provenance string recorded in the matrix
-//                        (default $IMOLTP_COMMIT or "unknown")
+// `imoltp_bench --help` lists every flag with its default and choices.
+// tpcc-cluster cells run the 3-node src/dist cluster (serial mode
+// only; other modes skip the cell) and report cluster-wide averages.
 //
 // Exit codes: 0 = all cells ran, 1 = any cell failed, 2 = usage error.
 
@@ -41,7 +22,6 @@
 
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
 #include <memory>
 #include <string>
 #include <vector>
@@ -73,106 +53,32 @@ struct BenchFlags {
   std::string commit;
 };
 
-std::vector<std::string> SplitCsv(const std::string& s) {
-  std::vector<std::string> out;
-  size_t pos = 0;
-  while (pos <= s.size()) {
-    size_t comma = s.find(',', pos);
-    if (comma == std::string::npos) comma = s.size();
-    if (comma > pos) out.push_back(s.substr(pos, comma - pos));
-    pos = comma + 1;
-  }
-  return out;
-}
-
-int Usage(const char* argv0, const std::string& error) {
-  if (!error.empty()) {
-    std::fprintf(stderr, "%s: %s\n", argv0, error.c_str());
-  }
-  std::fprintf(stderr,
-               "usage: %s [--label=NAME] [--out=FILE] [--engines=A,B]\n"
-               "          [--workloads=A,B] [--modes=A,B] [--workers=N]\n"
-               "          [--txns=N] [--warmup=N] [--db=SIZE]\n"
-               "          [--warehouses=N] [--seed=N] [--commit=REV]\n"
-               "modes: %s\n",
-               argv0, core::ParallelModeChoices());
-  return 2;
-}
-
-bool ParseBenchFlags(int argc, char* const* argv, BenchFlags* flags,
-                     std::string* error) {
-  for (int i = 1; i < argc; ++i) {
-    const std::string arg = argv[i];
-    auto value = [&](const char* prefix) -> const char* {
-      const size_t n = std::strlen(prefix);
-      return arg.compare(0, n, prefix) == 0 ? arg.c_str() + n : nullptr;
-    };
-    if (const char* v = value("--label=")) {
-      if (*v == '\0') {
-        *error = "--label= needs a name";
-        return false;
-      }
-      flags->label = v;
-    } else if (const char* v = value("--out=")) {
-      flags->out = v;
-    } else if (const char* v = value("--engines=")) {
-      flags->engines = SplitCsv(v);
-    } else if (const char* v = value("--workloads=")) {
-      flags->workloads = SplitCsv(v);
-    } else if (const char* v = value("--modes=")) {
-      // Cell ids carry the canonical name, so an alias spelling still
-      // pairs with a baseline's cells. Unknown names fail per cell.
-      flags->modes = SplitCsv(v);
-      for (std::string& name : flags->modes) {
-        core::ParallelMode mode;
-        if (core::ParseParallelMode(name, &mode)) {
-          name = core::ParallelModeName(mode);
-        }
-      }
-    } else if (const char* v = value("--workers=")) {
-      flags->workers = std::atoi(v);
-      if (flags->workers <= 0) {
-        *error = std::string("bad value for --workers: ") + v;
-        return false;
-      }
-    } else if (const char* v = value("--txns=")) {
-      flags->txns = std::strtoull(v, nullptr, 10);
-    } else if (const char* v = value("--warmup=")) {
-      flags->warmup = std::strtoull(v, nullptr, 10);
-    } else if (const char* v = value("--db=")) {
-      flags->db_bytes = tools::ParseSize(v);
-      if (flags->db_bytes == 0) {
-        *error = std::string("bad value for --db: ") + v;
-        return false;
-      }
-    } else if (const char* v = value("--warehouses=")) {
-      flags->warehouses = std::atoi(v);
-      if (flags->warehouses <= 0) {
-        *error = std::string("bad value for --warehouses: ") + v;
-        return false;
-      }
-    } else if (const char* v = value("--seed=")) {
-      flags->seed = std::strtoull(v, nullptr, 10);
-    } else if (const char* v = value("--commit=")) {
-      flags->commit = v;
-    } else {
-      *error = "unknown flag: " + arg;
-      return false;
-    }
-  }
-  if (flags->engines.empty() || flags->workloads.empty() ||
-      flags->modes.empty()) {
-    *error = "--engines/--workloads/--modes must not be empty";
-    return false;
-  }
-  if (flags->commit.empty()) {
-    const char* env = std::getenv("IMOLTP_COMMIT");
-    flags->commit = env != nullptr && *env != '\0' ? env : "unknown";
-  }
-  if (flags->out.empty()) {
-    flags->out = "BENCH_" + flags->label + ".json";
-  }
-  return true;
+tools::FlagTable BenchTable(BenchFlags* flags) {
+  tools::FlagTable t("imoltp_bench");
+  t.String("label", &flags->label, "NAME", "matrix label");
+  t.String("out", &flags->out, "FILE",
+           "output path (default BENCH_<label>.json; - = stdout)");
+  t.List("engines", &flags->engines, engine::EngineKindChoices(),
+         "engines to sweep");
+  t.List("workloads", &flags->workloads,
+         std::string(core::WorkloadChoices()) + " tpcc-cluster",
+         "workloads to sweep");
+  // Cell ids carry the canonical mode name, so an alias spelling still
+  // pairs with a baseline's cells.
+  t.List("modes", &flags->modes, core::ParallelModeChoices(),
+         "parallel modes to sweep", tools::kModeAliases);
+  t.Int("workers", &flags->workers, 1, tools::kMaxWorkers,
+        "worker threads == partitions");
+  t.Unsigned("txns", &flags->txns, "measured transactions per worker");
+  t.Unsigned("warmup", &flags->warmup, "warm-up transactions per worker");
+  t.Size("db", &flags->db_bytes, "nominal database size");
+  t.Int("warehouses", &flags->warehouses, 1, tools::kMaxWarehouses,
+        "TPC-C scale");
+  t.Unsigned("seed", &flags->seed, "workload seed");
+  t.String("commit", &flags->commit, "REV",
+           "provenance recorded in the matrix (default $IMOLTP_COMMIT or "
+           "\"unknown\")");
+  return t;
 }
 
 /// Runs one campaign cell. Returns false (with `error` set) when the
@@ -236,11 +142,9 @@ bool RunCell(const BenchFlags& bench, const std::string& engine,
 }
 
 /// Runs one distributed cell: a 3-node src/dist cluster at the bench's
-/// scale, reporting cluster-wide averages of the simulated metrics. The
-/// host axis is wall-clock and peak RSS only (refs/sec stays 0 →
-/// imoltp_compare's timing fallback), because per-node machines count
-/// their references behind the cluster driver, not through the
-/// single-run host profiler.
+/// scale, reporting cluster-wide averages of the simulated metrics and,
+/// like single-node cells, the measured rounds' wall-clock and
+/// simulated references per second.
 bool RunClusterCell(const BenchFlags& bench, const std::string& engine,
                     obs::BenchCell* cell, std::string* error) {
   dist::ClusterConfig cfg;
@@ -317,26 +221,29 @@ bool RunClusterCell(const BenchFlags& bench, const std::string& engine,
   cell->aborts = cluster.result().aborted;
   cell->p99_net_order_share =
       cluster.tracer().TailComposition().net_order_share;
-  cell->wall_seconds = obs::MonotonicSeconds() - cell_start;
-  cell->total_wall_seconds = cell->wall_seconds;
+  cell->wall_seconds = cluster.measure_seconds();
+  cell->total_wall_seconds = obs::MonotonicSeconds() - cell_start;
+  cell->simulated_refs = cluster.measured_refs();
+  if (cell->wall_seconds > 0) {
+    cell->refs_per_sec =
+        static_cast<double>(cell->simulated_refs) / cell->wall_seconds;
+  }
   return true;
 }
 
 }  // namespace
 
 int main(int argc, char** argv) {
-  for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--help") == 0 ||
-        std::strcmp(argv[i], "-h") == 0) {
-      Usage(argv[0], "");
-      return 0;
-    }
-  }
   BenchFlags bench;
-  std::string error;
-  if (!ParseBenchFlags(argc, argv, &bench, &error)) {
-    return Usage(argv[0], error);
+  if (const auto rc = BenchTable(&bench).ParseOrExit(argc, argv)) {
+    return *rc;
   }
+  if (bench.commit.empty()) {
+    const char* env = std::getenv("IMOLTP_COMMIT");
+    bench.commit = env != nullptr && *env != '\0' ? env : "unknown";
+  }
+  if (bench.out.empty()) bench.out = "BENCH_" + bench.label + ".json";
+  std::string error;
 
   obs::BenchMatrix matrix;
   matrix.label = bench.label;

@@ -4,41 +4,18 @@
 // invariants (TPC-B balance conservation, TPC-C YTD and order-line
 // conservation) on the recovered database. See docs/robustness.md.
 //
-//   imoltp_chaos --engine=hyper --workload=tpcb \
+//   imoltp_chaos --engine=hyper --workload=tpcb
 //       --chaos-points=crash.mid_commit=@120 --cycles=3
-//   imoltp_chaos --engine=dbms-m --workload=tpcc \
-//       --chaos-points=crash.post_commit=@400,log.torn_record=0.01 \
+//   imoltp_chaos --engine=dbms-m --workload=tpcc
+//       --chaos-points=crash.post_commit=@400,log.torn_record=0.01
 //       --json=-
 //
-// Flags:
-//   --engine=shore-mt|dbms-d|voltdb|hyper|dbms-m      (default voltdb)
-//   --workload=tpcb|tpcc     (default tpcb)
-//   --cycles=N               crash→recover→verify cycles (default 3)
-//   --workers=N              worker threads == partitions (default 2)
-//   --txns=N                 measured transactions per worker
-//   --warmup=N               warm-up transactions per worker
-//   --seed=N                 campaign seed (injector + workload)
-//   --mode=serial|free       host threading (default serial)
-//   --chaos-points=SPEC      NAME=PROB[@NTH],... points to arm
-//   --retry=N --retry-backoff=N --retry-cap=N     abort retry policy
-//   --db=SIZE                tpcb nominal size (default 1MB)
-//   --warehouses=N           tpcc scale (default 4)
-//   --orders=N               tpcc initial orders per district
-//   --log-buffer=SIZE        per-worker WAL ring (default 64KB)
-//   --checkpoint-every=N     enable fuzzy checkpointing, one every N
-//                            worker-0 transaction ticks
-//   --checkpoint-pages=N     fuzzy capture rate (pages per tick)
-//   --checkpoint-retain=N    complete checkpoints kept on the device
-//   --invariant-only         drop the fingerprint gate (kFree runs are
-//                            not bit-reproducible); invariants still
-//                            audited every cycle
-//   --json=FILE              campaign report ("-" = stdout)
+// `imoltp_chaos --help` lists every flag with its default and choices.
 //
 // Exit codes: 0 = all invariants held in every cycle, 1 = a violation
 // (details on stderr), 2 = usage or harness error.
 
 #include <cstdio>
-#include <cstring>
 #include <string>
 #include <utility>
 #include <vector>
@@ -49,163 +26,65 @@
 
 using namespace imoltp;
 
-namespace {
-
-int Usage(const char* argv0, const std::string& error) {
-  if (!error.empty()) {
-    std::fprintf(stderr, "%s: %s\n", argv0, error.c_str());
-  }
-  // The fault-point list comes from the canonical table, so a point
-  // added in fault_injector.h shows up here without a second edit.
-  std::string points;
-  for (const char* p : fault::kAllFaultPoints) {
-    if (!points.empty()) {
-      points += points.size() % 64 < 48 ? " " : "\n              ";
-    }
-    points += p;
-  }
-  std::fprintf(stderr,
-               "usage: %s [--engine=E] [--workload=tpcb|tpcc] "
-               "[--cycles=N]\n"
-               "          [--workers=N] [--txns=N] [--warmup=N] "
-               "[--seed=N]\n"
-               "          [--mode=M]\n"
-               "          [--chaos-points=NAME=PROB[@NTH],...]\n"
-               "          [--retry=N] [--retry-backoff=N] "
-               "[--retry-cap=N]\n"
-               "          [--db=SIZE] [--warehouses=N] [--orders=N]\n"
-               "          [--log-buffer=SIZE] [--checkpoint-every=N]\n"
-               "          [--checkpoint-pages=N] "
-               "[--checkpoint-retain=N]\n"
-               "          [--invariant-only] [--json=FILE]\n"
-               "engines: %s\n"
-               "modes: %s\n"
-               "fault points: %s\n",
-               argv0, engine::EngineKindChoices(),
-               core::ParallelModeChoices(), points.c_str());
-  return 2;
-}
-
-}  // namespace
-
 int main(int argc, char** argv) {
   fault::ChaosOptions opt;
-  opt.workload = "tpcb";
   std::string engine_name = "voltdb";
+  std::string mode = "serial";
+  uint64_t checkpoint_every = 0;
+  uint64_t log_buffer = opt.log_buffer_bytes;
   std::string json_path;
-  std::string error;
 
-  for (int i = 1; i < argc; ++i) {
-    const std::string arg = argv[i];
-    auto value = [&](const char* prefix) -> const char* {
-      const size_t n = std::strlen(prefix);
-      return arg.compare(0, n, prefix) == 0 ? arg.c_str() + n : nullptr;
-    };
-    auto positive_int = [&](const char* v, const char* flag, int* out) {
-      char* end = nullptr;
-      const long n = std::strtol(v, &end, 10);
-      if (end == v || *end != '\0' || n <= 0 || n > 1 << 20) {
-        error = std::string("bad value for ") + flag + ": " + v;
-        return false;
-      }
-      *out = static_cast<int>(n);
-      return true;
-    };
-    if (arg == "--help" || arg == "-h") {
-      Usage(argv[0], "");
-      return 0;
-    } else if (const char* v = value("--engine=")) {
-      engine_name = v;
-    } else if (const char* v = value("--workload=")) {
-      opt.workload = v;
-    } else if (const char* v = value("--cycles=")) {
-      if (!positive_int(v, "--cycles", &opt.cycles)) {
-        return Usage(argv[0], error);
-      }
-    } else if (const char* v = value("--workers=")) {
-      if (!positive_int(v, "--workers", &opt.workers)) {
-        return Usage(argv[0], error);
-      }
-    } else if (const char* v = value("--txns=")) {
-      opt.measure_txns = std::strtoull(v, nullptr, 10);
-    } else if (const char* v = value("--warmup=")) {
-      opt.warmup_txns = std::strtoull(v, nullptr, 10);
-    } else if (const char* v = value("--seed=")) {
-      opt.seed = std::strtoull(v, nullptr, 10);
-    } else if (const char* v = value("--mode=")) {
-      if (!core::ParseParallelMode(v, &opt.mode)) {
-        return Usage(argv[0], std::string("unknown mode: ") + v +
-                                  " (choices: " +
-                                  core::ParallelModeChoices() + ")");
-      }
-    } else if (const char* v = value("--chaos-points=")) {
-      if (!tools::ParseChaosPoints(v, &opt.points, &error)) {
-        return Usage(argv[0], error);
-      }
-    } else if (const char* v = value("--retry=")) {
-      if (!positive_int(v, "--retry", &opt.retry.max_attempts)) {
-        return Usage(argv[0], error);
-      }
-    } else if (const char* v = value("--retry-backoff=")) {
-      opt.retry.backoff_cycles = std::strtoull(v, nullptr, 10);
-    } else if (const char* v = value("--retry-cap=")) {
-      if (!positive_int(v, "--retry-cap",
-                        &opt.retry.max_inflight_retries)) {
-        return Usage(argv[0], error);
-      }
-    } else if (const char* v = value("--db=")) {
-      opt.tpcb_nominal_bytes = tools::ParseSize(v);
-      if (opt.tpcb_nominal_bytes == 0) {
-        return Usage(argv[0], std::string("bad value for --db: ") + v);
-      }
-    } else if (const char* v = value("--warehouses=")) {
-      if (!positive_int(v, "--warehouses", &opt.tpcc_warehouses)) {
-        return Usage(argv[0], error);
-      }
-    } else if (const char* v = value("--orders=")) {
-      if (!positive_int(v, "--orders", &opt.tpcc_orders_per_district)) {
-        return Usage(argv[0], error);
-      }
-    } else if (const char* v = value("--checkpoint-every=")) {
-      int every = 0;
-      if (!positive_int(v, "--checkpoint-every", &every)) {
-        return Usage(argv[0], error);
-      }
-      opt.checkpoint.enabled = true;
-      opt.checkpoint.every_n_ticks = static_cast<uint64_t>(every);
-    } else if (const char* v = value("--checkpoint-pages=")) {
-      if (!positive_int(v, "--checkpoint-pages",
-                        &opt.checkpoint.pages_per_step)) {
-        return Usage(argv[0], error);
-      }
-    } else if (const char* v = value("--checkpoint-retain=")) {
-      if (!positive_int(v, "--checkpoint-retain",
-                        &opt.checkpoint.retain)) {
-        return Usage(argv[0], error);
-      }
-    } else if (arg == "--invariant-only") {
-      opt.invariant_only = true;
-    } else if (const char* v = value("--log-buffer=")) {
-      const uint64_t bytes = tools::ParseSize(v);
-      if (bytes == 0 || bytes > (1u << 30)) {
-        return Usage(argv[0],
-                     std::string("bad value for --log-buffer: ") + v);
-      }
-      opt.log_buffer_bytes = static_cast<uint32_t>(bytes);
-    } else if (const char* v = value("--json=")) {
-      if (*v == '\0') {
-        return Usage(argv[0], "--json= needs a file path (or -)");
-      }
-      json_path = v;
-    } else {
-      return Usage(argv[0], "unknown flag: " + arg);
-    }
-  }
+  tools::FlagTable t("imoltp_chaos");
+  t.Choice("engine", &engine_name, engine::EngineKindChoices(),
+           "engine archetype");
+  t.Choice("workload", &opt.workload, "tpcb tpcc", "audited benchmark");
+  t.Int("cycles", &opt.cycles, 1, tools::kMaxCount,
+        "crash-recover-verify cycles");
+  t.Int("workers", &opt.workers, 1, tools::kMaxWorkers,
+        "worker threads == partitions");
+  t.Unsigned("txns", &opt.measure_txns, "measured transactions per worker");
+  t.Unsigned("warmup", &opt.warmup_txns, "warm-up transactions per worker");
+  t.Unsigned("seed", &opt.seed, "campaign seed (injector + workload)");
+  t.Choice("mode", &mode, core::ParallelModeChoices(), "host threading",
+           tools::kModeAliases);
+  tools::FlagTable::Flag& points = t.Custom(
+      "chaos-points", "NAME=PROB[@NTH],...", "fault points to arm",
+      [&opt](const std::string& v, std::string* why) {
+        return tools::ParseChaosPoints(v, &opt.points, why);
+      });
+  points.choices = tools::FaultPointChoices();
+  points.repeatable = true;
+  t.Int("retry", &opt.retry.max_attempts, 1, tools::kMaxCount,
+        "attempts per transaction (1 = no retry)");
+  t.Unsigned("retry-backoff", &opt.retry.backoff_cycles,
+             "cycles before the first retry, doubling per attempt");
+  t.Int("retry-cap", &opt.retry.max_inflight_retries, 1, tools::kMaxCount,
+        "in-flight-retry admission cap");
+  t.Size("db", &opt.tpcb_nominal_bytes, "tpcb nominal size");
+  t.Int("warehouses", &opt.tpcc_warehouses, 1, tools::kMaxWarehouses,
+        "tpcc scale");
+  t.Int("orders", &opt.tpcc_orders_per_district, 1, tools::kMaxCount,
+        "tpcc initial orders per district");
+  t.Size("log-buffer", &log_buffer, "per-worker WAL ring", 1ULL << 30);
+  t.Unsigned("checkpoint-every", &checkpoint_every,
+             "fuzzy checkpoint every N worker-0 transaction ticks", 1,
+             tools::kMaxCount);
+  t.Int("checkpoint-pages", &opt.checkpoint.pages_per_step, 1,
+        tools::kMaxCount, "fuzzy capture rate, pages per tick");
+  t.Int("checkpoint-retain", &opt.checkpoint.retain, 1, tools::kMaxCount,
+        "complete checkpoints kept on the device");
+  t.Bool("invariant-only", &opt.invariant_only,
+         "drop the fingerprint gate (free-mode runs are not "
+         "bit-reproducible); invariants are still audited every cycle");
+  t.String("json", &json_path, "FILE", "campaign report (- = stdout)");
+  if (const auto rc = t.ParseOrExit(argc, argv)) return *rc;
 
-  if (!tools::ParseEngine(engine_name, &opt.engine)) {
-    return Usage(argv[0], "unknown engine: " + engine_name +
-                              " (choices: " +
-                              engine::EngineKindChoices() + ")");
+  tools::ParseEngine(engine_name, &opt.engine);
+  core::ParseParallelMode(mode, &opt.mode);
+  opt.log_buffer_bytes = static_cast<uint32_t>(log_buffer);
+  if (checkpoint_every > 0) {
+    opt.checkpoint.enabled = true;
+    opt.checkpoint.every_n_ticks = checkpoint_every;
   }
 
   std::fprintf(stderr, "chaos: %s / %s, %d cycle(s), seed %llu\n",

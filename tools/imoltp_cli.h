@@ -5,15 +5,10 @@
 // unit tests can drive flag parsing and CSV emission directly instead
 // of exec'ing the binary and scraping stdout.
 
-#include <strings.h>
-
 #include <cstdint>
 #include <cstdio>
-#include <cstdlib>
-#include <cstring>
 #include <memory>
 #include <string>
-
 #include <utility>
 #include <vector>
 
@@ -25,6 +20,7 @@
 #include "fault/fault_injector.h"
 #include "mcsim/profiler.h"
 #include "obs/report_json.h"
+#include "tools/flags.h"
 
 namespace imoltp::tools {
 
@@ -83,13 +79,7 @@ inline bool ParseChaosPoints(
     const std::string& spec,
     std::vector<std::pair<std::string, fault::FaultPointConfig>>* out,
     std::string* error) {
-  size_t pos = 0;
-  while (pos < spec.size()) {
-    size_t comma = spec.find(',', pos);
-    if (comma == std::string::npos) comma = spec.size();
-    const std::string entry = spec.substr(pos, comma - pos);
-    pos = comma + 1;
-    if (entry.empty()) continue;
+  for (const std::string& entry : Split(spec, ',')) {
     const size_t eq = entry.find('=');
     if (eq == std::string::npos || eq == 0) {
       *error = "bad fault point entry (want NAME=PROB[@NTH]): " + entry;
@@ -104,9 +94,7 @@ inline bool ParseChaosPoints(
     fault::FaultPointConfig cfg;
     const size_t at = rest.find('@');
     if (at != std::string::npos) {
-      char* end = nullptr;
-      cfg.nth_hit = std::strtoull(rest.c_str() + at + 1, &end, 10);
-      if (end == rest.c_str() + at + 1 || *end != '\0' ||
+      if (!ParseUnsigned(rest.substr(at + 1), &cfg.nth_hit) ||
           cfg.nth_hit == 0) {
         *error = "bad @NTH in fault point entry: " + entry;
         return false;
@@ -114,10 +102,7 @@ inline bool ParseChaosPoints(
       rest = rest.substr(0, at);
     }
     if (!rest.empty()) {
-      char* end = nullptr;
-      cfg.probability = std::strtod(rest.c_str(), &end);
-      if (end == rest.c_str() || *end != '\0' || cfg.probability < 0 ||
-          cfg.probability > 1) {
+      if (!ParseReal(rest, &cfg.probability) || cfg.probability > 1) {
         *error = "bad probability in fault point entry: " + entry;
         return false;
       }
@@ -131,160 +116,116 @@ inline bool ParseChaosPoints(
   return true;
 }
 
-/// Parses a byte-size flag value like "10MB", "1GB", "512KB", or a bare
-/// number (interpreted as MB). Returns 0 on any malformed input: empty,
-/// non-numeric, zero, negative, unknown suffix, or trailing garbage.
-inline uint64_t ParseSize(const char* s) {
-  if (s == nullptr || *s == '\0') return 0;
-  char* end = nullptr;
-  const double v = std::strtod(s, &end);
-  if (end == s || v <= 0) return 0;
-  if (strcasecmp(end, "GB") == 0) {
-    return static_cast<uint64_t>(v * (1ULL << 30));
-  }
-  if (strcasecmp(end, "KB") == 0) {
-    return static_cast<uint64_t>(v * (1ULL << 10));
-  }
-  if (strcasecmp(end, "MB") == 0 || *end == '\0') {
-    return static_cast<uint64_t>(v * (1ULL << 20));
-  }
-  return 0;
-}
-
 inline bool ParseEngine(const std::string& s, engine::EngineKind* out) {
   return engine::ParseEngineKind(s, out);
 }
 
+/// Ranges the experiment tools share: one per concept, whichever tool
+/// takes the flag.
+inline constexpr int kMaxWorkers = 64;
+inline constexpr int kMaxWarehouses = 4096;
+inline constexpr int kMaxCount = 1 << 20;  // rows, retries, cycles, ...
+
+/// The mode spelling kept from before kDeterministic folded into
+/// kSerial.
+inline const FlagAliases kModeAliases = {{"deterministic", "serial"}};
+
+/// The fault-point names, space-separated, for --help and errors.
+inline std::string FaultPointChoices() {
+  std::string out;
+  for (const char* p : fault::kAllFaultPoints) {
+    out += (out.empty() ? "" : " ") + std::string(p);
+  }
+  return out;
+}
+
+/// imoltp_run's flags, bound to `flags` (imoltp_trace record takes the
+/// same ones under its own `program` name).
+inline FlagTable RunFlagTable(Flags* flags,
+                              std::string program = "imoltp_run",
+                              std::string args = "[flags]") {
+  FlagTable t(std::move(program), std::move(args));
+  t.Choice("engine", &flags->engine, engine::EngineKindChoices(),
+           "engine archetype");
+  t.Choice("workload", &flags->workload, core::WorkloadChoices(),
+           "benchmark");
+  t.Size("db", &flags->db_bytes, "nominal database size (micro, tpcb)");
+  t.Int("rows", &flags->rows, 1, kMaxCount, "micro: rows per transaction");
+  t.Int("warehouses", &flags->warehouses, 1, kMaxWarehouses,
+        "tpcc: warehouses");
+  t.Int("workers", &flags->workers, 1, kMaxWorkers,
+        "worker threads == partitions");
+  t.Unsigned("txns", &flags->txns, "measured transactions per worker");
+  t.Unsigned("warmup", &flags->warmup, "warm-up transactions per worker");
+  t.Choice("index", &flags->index, "hash btree", "DBMS M index");
+  t.Bool("no-compilation", &flags->compilation,
+         "disable DBMS M transaction compilation", false);
+  t.Choice("mode", &flags->mode, core::ParallelModeChoices(),
+           "host threading (docs/parallel_execution.md)", kModeAliases);
+  t.Unsigned("seed", &flags->seed, "workload seed");
+  t.Bool("csv", &flags->csv, "print one CSV row");
+  t.Custom("csv-header", "", "--csv, preceded by the header row",
+           [flags](const std::string&, std::string*) {
+             flags->csv = flags->csv_header = true;
+             return true;
+           });
+  t.String("json", &flags->json_path, "FILE",
+           "write the JSON report (- = stdout)");
+  t.String("trace-out", &flags->trace_out, "FILE",
+           "record the simulated reference stream (docs/tracing.md)");
+  t.Unsigned("sample-every", &flags->sample_every,
+             "sample worker-core counters every N retire cycles of the "
+             "measurement window",
+             1);
+  t.String("timeline-out", &flags->timeline_out, "FILE",
+           "write a Perfetto timeline (implies --sample-modules)");
+  t.Bool("sample-modules", &flags->sample_modules,
+         "also sample per-module cycles");
+  t.Int("retry", &flags->retry_attempts, 1, kMaxCount,
+        "attempts per transaction (1 = no retry)");
+  t.Unsigned("retry-backoff", &flags->retry_backoff,
+             "cycles before the first retry, doubling per attempt");
+  t.Int("retry-cap", &flags->retry_cap, 1, kMaxCount,
+        "in-flight-retry admission cap");
+  t.Unsigned("chaos-seed", &flags->chaos_seed,
+             "arm the fault injector with this seed", 1);
+  t.Custom("chaos-points", "NAME=PROB[@NTH],...", "fault points to arm",
+           [flags](const std::string& v, std::string* why) {
+             std::vector<std::pair<std::string, fault::FaultPointConfig>>
+                 parsed;
+             if (!ParseChaosPoints(v, &parsed, why)) return false;
+             flags->chaos_points = v;
+             return true;
+           })
+      .choices = FaultPointChoices();
+  t.Unsigned("checkpoint-every", &flags->checkpoint_every,
+             "fuzzy checkpoint every N worker-0 transaction ticks", 1,
+             kMaxCount);
+  t.Int("checkpoint-pages", &flags->checkpoint_pages, 1, kMaxCount,
+        "fuzzy capture rate, pages per tick");
+  t.Int("checkpoint-retain", &flags->checkpoint_retain, 1, kMaxCount,
+        "complete checkpoints kept on the device");
+  t.Bool("list", &flags->help, "same as --help");
+  return t;
+}
+
 /// Parses argv into `flags`. On failure returns false and sets `error`
-/// to a one-line description (unknown flag, malformed value). `--help`
-/// (also `-h`, `--list`) sets flags->help and parsing continues.
+/// to a one-line description naming the flag (unknown flag, malformed
+/// or out-of-range value, unknown choice). `--help` (also `-h`,
+/// `--list`) sets flags->help and parsing continues.
 inline bool ParseCommandLine(int argc, char* const* argv, Flags* flags,
                              std::string* error) {
-  for (int i = 1; i < argc; ++i) {
-    const std::string arg = argv[i];
-    auto value = [&](const char* prefix) -> const char* {
-      const size_t n = std::strlen(prefix);
-      return arg.compare(0, n, prefix) == 0 ? arg.c_str() + n : nullptr;
-    };
-    auto parse_positive_int = [&](const char* v, const char* flag,
-                                  int* out) {
-      char* end = nullptr;
-      const long n = std::strtol(v, &end, 10);
-      if (end == v || *end != '\0' || n <= 0 || n > 1 << 20) {
-        *error = std::string("bad value for ") + flag + ": " + v;
-        return false;
-      }
-      *out = static_cast<int>(n);
-      return true;
-    };
-    if (const char* v = value("--engine=")) {
-      flags->engine = v;
-    } else if (const char* v = value("--workload=")) {
-      flags->workload = v;
-    } else if (const char* v = value("--db=")) {
-      flags->db_bytes = ParseSize(v);
-      if (flags->db_bytes == 0) {
-        *error = std::string("bad value for --db: ") + v;
-        return false;
-      }
-    } else if (const char* v = value("--rows=")) {
-      if (!parse_positive_int(v, "--rows", &flags->rows)) return false;
-    } else if (const char* v = value("--warehouses=")) {
-      if (!parse_positive_int(v, "--warehouses", &flags->warehouses)) {
-        return false;
-      }
-    } else if (const char* v = value("--workers=")) {
-      if (!parse_positive_int(v, "--workers", &flags->workers)) {
-        return false;
-      }
-    } else if (const char* v = value("--txns=")) {
-      flags->txns = std::strtoull(v, nullptr, 10);
-    } else if (const char* v = value("--warmup=")) {
-      flags->warmup = std::strtoull(v, nullptr, 10);
-    } else if (const char* v = value("--index=")) {
-      flags->index = v;
-    } else if (const char* v = value("--mode=")) {
-      flags->mode = v;
-    } else if (const char* v = value("--seed=")) {
-      flags->seed = std::strtoull(v, nullptr, 10);
-    } else if (const char* v = value("--retry=")) {
-      if (!parse_positive_int(v, "--retry", &flags->retry_attempts)) {
-        return false;
-      }
-    } else if (const char* v = value("--retry-backoff=")) {
-      flags->retry_backoff = std::strtoull(v, nullptr, 10);
-    } else if (const char* v = value("--retry-cap=")) {
-      if (!parse_positive_int(v, "--retry-cap", &flags->retry_cap)) {
-        return false;
-      }
-    } else if (const char* v = value("--chaos-seed=")) {
-      flags->chaos_seed = std::strtoull(v, nullptr, 10);
-      if (flags->chaos_seed == 0) {
-        *error = "--chaos-seed= needs a non-zero seed";
-        return false;
-      }
-    } else if (const char* v = value("--chaos-points=")) {
-      std::vector<std::pair<std::string, fault::FaultPointConfig>> parsed;
-      if (!ParseChaosPoints(v, &parsed, error)) return false;
-      flags->chaos_points = v;
-    } else if (const char* v = value("--checkpoint-every=")) {
-      int every = 0;
-      if (!parse_positive_int(v, "--checkpoint-every", &every)) {
-        return false;
-      }
-      flags->checkpoint_every = static_cast<uint64_t>(every);
-    } else if (const char* v = value("--checkpoint-pages=")) {
-      if (!parse_positive_int(v, "--checkpoint-pages",
-                              &flags->checkpoint_pages)) {
-        return false;
-      }
-    } else if (const char* v = value("--checkpoint-retain=")) {
-      if (!parse_positive_int(v, "--checkpoint-retain",
-                              &flags->checkpoint_retain)) {
-        return false;
-      }
-    } else if (const char* v = value("--json=")) {
-      if (*v == '\0') {
-        *error = "--json= needs a file path (or - for stdout)";
-        return false;
-      }
-      flags->json_path = v;
-    } else if (const char* v = value("--trace-out=")) {
-      if (*v == '\0') {
-        *error = "--trace-out= needs a file path";
-        return false;
-      }
-      flags->trace_out = v;
-    } else if (const char* v = value("--sample-every=")) {
-      char* end = nullptr;
-      flags->sample_every = std::strtoull(v, &end, 10);
-      if (end == v || *end != '\0' || flags->sample_every == 0) {
-        *error = std::string("bad value for --sample-every: ") + v;
-        return false;
-      }
-    } else if (const char* v = value("--timeline-out=")) {
-      if (*v == '\0') {
-        *error = "--timeline-out= needs a file path";
-        return false;
-      }
-      flags->timeline_out = v;
-    } else if (arg == "--sample-modules") {
-      flags->sample_modules = true;
-    } else if (arg == "--no-compilation") {
-      flags->compilation = false;
-    } else if (arg == "--csv") {
-      flags->csv = true;
-    } else if (arg == "--csv-header") {
-      flags->csv = true;
-      flags->csv_header = true;
-    } else if (arg == "--help" || arg == "-h" || arg == "--list") {
-      flags->help = true;
-    } else {
-      *error = "unknown flag: " + arg;
-      return false;
-    }
-  }
+  FlagTable table = RunFlagTable(flags);
+  if (!table.Parse(argc, argv, error)) return false;
+  flags->help = flags->help || table.help();
   return true;
+}
+
+/// imoltp_run's generated usage, under `program`'s name.
+inline std::string RunUsage(std::string program, std::string args) {
+  Flags defaults;
+  return RunFlagTable(&defaults, std::move(program), std::move(args))
+      .Usage();
 }
 
 /// Builds the ExperimentConfig and Workload one flag set describes —
@@ -370,11 +311,6 @@ inline bool BuildExperiment(const Flags& flags,
       core::TpccConfig tcfg;
       tcfg.warehouses = flags.warehouses;
       tcfg.num_partitions = flags.workers;
-      // TPC-C range-scans; DBMS M uses its B-tree unless hash was
-      // forced.
-      cfg->engine_options.dbms_m_index = flags.index == "hash"
-                                             ? index::IndexKind::kHash
-                                             : index::IndexKind::kBTreeCc;
       *workload = std::make_unique<core::TpccBenchmark>(tcfg);
       break;
     }

@@ -8,46 +8,16 @@
 //   imoltp_cluster sweep [flags]          throughput vs %-multi-home
 //                                         (0/10/50/100 by default)
 //
-// Flags (both subcommands):
-//   --nodes=N               cluster size (default 3)
-//   --warehouses-per-node=W (default 2; divisible by workers)
-//   --workers-per-node=C    worker cores == partitions (default 2)
-//   --orders-per-district=K initial orders (default 200)
-//   --engine=NAME           default hyper. NOTE: node-death recovery
-//                           REDOes the dead node's physical log;
-//                           voltdb's command log is not physically
-//                           replayable, so chaos runs should keep a
-//                           physical-logging engine (see
-//                           docs/distributed.md).
-//   --txns=N                measured txns generated per node (2000)
-//   --warmup=N              warm-up txns per node (400)
-//   --multi-home-pct=P      % of NewOrder/Payment that cross nodes
-//                           (run only; sweep uses its own series)
-//   --batch=N               txns per node per scheduling round (32)
-//   --net-latency=CYCLES    one-way message latency (26000)
-//   --seed=S                cluster seed (1)
-//   --json=FILE             write the report (- = stdout, the default)
-//   --fingerprint           also print "fingerprint: <hex>" on stderr
-//                           (scripts grep it for bit-identity checks)
-//   --chaos-node-death=SPEC arm node.death: PROB, PROB@NTH or @NTH
-//                           (e.g. @5 = the 5th (node,round) check)
-//   --no-recover            leave dead nodes dead (skips the
-//                           cross-node audit layers)
-//   --sweep-pcts=A,B,...    sweep series (default 0,10,50,100)
-//   --trace-sample=SPEC     distributed tracing: N or 1/N traces one in
-//                           N transactions (1 = all, 0 = off). Zero
-//                           observer effect: fingerprints are
-//                           bit-identical with tracing off/on/sampled.
-//   --trace-ring=N          full trace records kept for the timeline
-//                           export / p99 composition (default 65536)
-//   --timeline-out=FILE     write the whole-cluster Perfetto timeline
-//                           (run only; implies --trace-sample=1 unless
-//                           tracing was configured explicitly)
+// `imoltp_cluster --help` lists every flag with its default and
+// choices. Node-death recovery REDOes the dead node's physical log;
+// voltdb's command log is not physically replayable, so chaos runs
+// should keep a physical-logging engine (see docs/distributed.md).
+// Tracing has zero observer effect: fingerprints are bit-identical
+// with --trace-sample off, on or sampled.
 
 #include <cstdio>
-#include <cstdlib>
-#include <cstring>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "core/experiment.h"
@@ -64,74 +34,16 @@ using imoltp::dist::ClusterConfig;
 using imoltp::dist::ClusterSweepToJson;
 using imoltp::dist::SweepPoint;
 
-int Usage(const char* argv0, const std::string& error = "") {
-  if (!error.empty()) std::fprintf(stderr, "%s: %s\n", argv0, error.c_str());
-  std::fprintf(
-      stderr,
-      "usage: %s run|sweep [--nodes=N] [--warehouses-per-node=W]\n"
-      "       [--workers-per-node=C] [--orders-per-district=K]\n"
-      "       [--engine=NAME] [--txns=N] [--warmup=N]\n"
-      "       [--multi-home-pct=P] [--batch=N] [--net-latency=CYC]\n"
-      "       [--seed=S] [--json=FILE] [--fingerprint]\n"
-      "       [--chaos-node-death=PROB[@NTH]] [--no-recover]\n"
-      "       [--sweep-pcts=A,B,...] [--trace-sample=N|1/N]\n"
-      "       [--trace-ring=N] [--timeline-out=FILE]\n",
-      argv0);
-  // Same choice inventories every other tool's --help prints, so the
-  // valid spellings have one authority each.
-  std::fprintf(stderr, "engines: %s\n",
-               imoltp::engine::EngineKindChoices());
-  std::fprintf(stderr,
-               "per-node execution mode: serial (of: %s)\n",
-               imoltp::core::ParallelModeChoices());
-  std::fprintf(stderr, "fault points:");
-  for (const char* p : imoltp::fault::kAllFaultPoints) {
-    std::fprintf(stderr, " %s", p);
-  }
-  std::fprintf(stderr, " (this tool arms %s via --chaos-node-death)\n",
-               imoltp::fault::kNodeDeath);
-  return 2;
-}
-
-// --trace-sample grammar: "N" or "1/N" (both mean: trace one in N
-// transactions); 0 disables tracing.
-bool ParseTraceSample(const char* v, uint64_t* out, std::string* error) {
-  const char* num = v;
-  if (num[0] == '1' && num[1] == '/') num += 2;
-  char* end = nullptr;
-  const unsigned long long n = std::strtoull(num, &end, 10);
-  if (end == num || *end != '\0') {
-    *error = std::string("bad --trace-sample value: ") + v +
-             " (choices: N or 1/N, e.g. 1, 4, 1/16; 0 = off)";
-    return false;
-  }
-  *out = n;
-  return true;
-}
-
-bool ParsePcts(const std::string& spec, std::vector<int>* out,
-               std::string* error) {
-  size_t pos = 0;
-  while (pos < spec.size()) {
-    size_t comma = spec.find(',', pos);
-    if (comma == std::string::npos) comma = spec.size();
-    const std::string entry = spec.substr(pos, comma - pos);
-    pos = comma + 1;
-    if (entry.empty()) continue;
-    char* end = nullptr;
-    const long v = std::strtol(entry.c_str(), &end, 10);
-    if (end == entry.c_str() || *end != '\0' || v < 0 || v > 100) {
-      *error = "bad --sweep-pcts entry: " + entry;
-      return false;
-    }
-    out->push_back(static_cast<int>(v));
-  }
-  if (out->empty()) {
-    *error = "--sweep-pcts= names no percentages";
-    return false;
-  }
-  return true;
-}
+/// Everything one command line sets, bound to the flag table.
+struct ClusterArgs {
+  ClusterConfig cfg;
+  std::string engine_name = "hyper";
+  std::string json_path = "-";
+  std::vector<int> pcts = {0, 10, 50, 100};
+  std::string timeline_path;
+  bool print_fingerprint = false;
+  bool trace_flag_set = false;
+};
 
 int WriteOut(const std::string& path, const std::string& doc) {
   if (path == "-" || path.empty()) {
@@ -150,148 +62,130 @@ int WriteOut(const std::string& path, const std::string& doc) {
   return 0;
 }
 
+imoltp::tools::FlagTable ClusterTable(ClusterArgs* a) {
+  using imoltp::tools::kMaxCount;
+  using imoltp::tools::kMaxWarehouses;
+  using imoltp::tools::kMaxWorkers;
+  using imoltp::tools::ParseUnsigned;
+  using imoltp::tools::Split;
+  ClusterConfig& cfg = a->cfg;
+  imoltp::tools::FlagTable t("imoltp_cluster", "run|sweep [flags]");
+  t.Int("nodes", &cfg.nodes, 1, 64, "cluster size");
+  t.Int("warehouses-per-node", &cfg.warehouses_per_node, 1, kMaxWarehouses,
+        "TPC-C warehouses per node (divisible by --workers-per-node)");
+  t.Int("workers-per-node", &cfg.workers_per_node, 1, kMaxWorkers,
+        "worker cores == partitions per node");
+  t.Int("orders-per-district", &cfg.orders_per_district, 1, kMaxCount,
+        "initial orders per district");
+  t.Choice("engine", &a->engine_name,
+           imoltp::engine::EngineKindChoices(), "engine on every node");
+  t.Unsigned("txns", &cfg.txns_per_node,
+             "measured transactions generated per node");
+  t.Unsigned("warmup", &cfg.warmup_per_node,
+             "warm-up transactions per node");
+  t.Int("multi-home-pct", &cfg.multi_home_pct, 0, 100,
+        "% of NewOrder/Payment that cross nodes (run only)");
+  t.Int("batch", &cfg.batch_per_round, 1, 1 << 16,
+        "transactions per node per scheduling round");
+  t.Unsigned("net-latency", &cfg.net.latency_cycles,
+             "one-way message latency, cycles");
+  t.Unsigned("seed", &cfg.seed, "cluster seed");
+  t.String("json", &a->json_path, "FILE", "write the report (- = stdout)");
+  t.Bool("fingerprint", &a->print_fingerprint,
+         "also print \"fingerprint: <hex>\" on stderr");
+  t.Custom("chaos-node-death", "PROB[@NTH]",
+           "arm node.death (@5 = the 5th (node,round) check)",
+           [&cfg](const std::string& v, std::string* why) {
+             // Same PROB[@NTH] grammar as --chaos-points values.
+             std::vector<
+                 std::pair<std::string, imoltp::fault::FaultPointConfig>>
+                 parsed;
+             if (!imoltp::tools::ParseChaosPoints(
+                     std::string(imoltp::fault::kNodeDeath) + "=" + v,
+                     &parsed, why)) {
+               return false;
+             }
+             cfg.chaos.enabled = true;
+             cfg.chaos.probability = parsed[0].second.probability;
+             cfg.chaos.nth_hit = parsed[0].second.nth_hit;
+             return true;
+           });
+  t.Bool("no-recover", &cfg.chaos.recover,
+         "leave dead nodes dead (skips the cross-node audits)", false);
+  t.Custom("sweep-pcts", "A,B,...", "sweep series of --multi-home-pct",
+           [a](const std::string& v, std::string* why) {
+             a->pcts.clear();
+             for (const std::string& entry : Split(v, ',')) {
+               uint64_t pct = 0;
+               if (!ParseUnsigned(entry, &pct) || pct > 100) {
+                 return *why = "bad entry " + entry + " (want 0..100)",
+                        false;
+               }
+               a->pcts.push_back(static_cast<int>(pct));
+             }
+             if (a->pcts.empty()) return *why = "no percentages", false;
+             return true;
+           })
+      .default_text = "0,10,50,100";
+  t.Custom("trace-sample", "N|1/N",
+           "trace one in N transactions (1 = all, 0 = off)",
+           [a](const std::string& v, std::string* why) {
+             uint64_t sample = 0;
+             if (!ParseUnsigned(v.compare(0, 2, "1/") == 0 ? v.substr(2) : v,
+                                &sample)) {
+               return *why = "want N or 1/N, e.g. 1, 4, 1/16; 0 = off",
+                      false;
+             }
+             a->cfg.trace.enabled = sample > 0;
+             a->cfg.trace.sample = sample;
+             a->trace_flag_set = true;
+             return true;
+           })
+      .default_text = "0";
+  t.Unsigned("trace-ring", &cfg.trace.ring_capacity,
+             "full trace records kept for the timeline and p99 "
+             "composition",
+             1, 1 << 24);
+  t.String("timeline-out", &a->timeline_path, "FILE",
+           "write the whole-cluster Perfetto timeline (run only; implies "
+           "--trace-sample=1 unless given)");
+  return t;
+}
+
 }  // namespace
 
 int main(int argc, char** argv) {
-  if (argc < 2) return Usage(argv[0]);
-  const std::string cmd = argv[1];
+  const std::string cmd = argc < 2 ? "" : argv[1];
+  ClusterArgs args;
+  imoltp::tools::FlagTable table = ClusterTable(&args);
   if (cmd == "--help" || cmd == "-h" || cmd == "help") {
-    Usage(argv[0]);
+    std::fputs(table.Usage().c_str(), stdout);
     return 0;
   }
   if (cmd != "run" && cmd != "sweep") {
-    return Usage(argv[0], "unknown subcommand: " + cmd +
-                              " (choices: run sweep)");
+    return imoltp::tools::UsageError(
+        table.program(),
+        (cmd.empty() ? "missing subcommand" : "unknown subcommand: " + cmd) +
+            " (choices: run sweep)");
   }
-
-  ClusterConfig cfg;
-  std::string engine_name = "hyper";
-  std::string json_path = "-";
-  std::string sweep_spec = "0,10,50,100";
-  std::string timeline_path;
-  bool print_fingerprint = false;
-  bool trace_flag_set = false;
-
-  for (int i = 2; i < argc; ++i) {
-    const std::string arg = argv[i];
-    auto value = [&](const char* prefix) -> const char* {
-      const size_t n = std::strlen(prefix);
-      return arg.compare(0, n, prefix) == 0 ? arg.c_str() + n : nullptr;
-    };
-    auto parse_int = [&](const char* v, const char* flag, int lo, int hi,
-                         int* out) {
-      char* end = nullptr;
-      const long n = std::strtol(v, &end, 10);
-      if (end == v || *end != '\0' || n < lo || n > hi) {
-        std::fprintf(stderr, "%s: bad value for %s: %s\n", argv[0], flag,
-                     v);
-        return false;
-      }
-      *out = static_cast<int>(n);
-      return true;
-    };
-    if (const char* v = value("--nodes=")) {
-      if (!parse_int(v, "--nodes", 1, 64, &cfg.nodes)) return 2;
-    } else if (const char* v = value("--warehouses-per-node=")) {
-      if (!parse_int(v, "--warehouses-per-node", 1, 1 << 12,
-                     &cfg.warehouses_per_node)) {
-        return 2;
-      }
-    } else if (const char* v = value("--workers-per-node=")) {
-      if (!parse_int(v, "--workers-per-node", 1, 64,
-                     &cfg.workers_per_node)) {
-        return 2;
-      }
-    } else if (const char* v = value("--orders-per-district=")) {
-      if (!parse_int(v, "--orders-per-district", 1, 1 << 20,
-                     &cfg.orders_per_district)) {
-        return 2;
-      }
-    } else if (const char* v = value("--engine=")) {
-      engine_name = v;
-    } else if (const char* v = value("--txns=")) {
-      cfg.txns_per_node = std::strtoull(v, nullptr, 10);
-    } else if (const char* v = value("--warmup=")) {
-      cfg.warmup_per_node = std::strtoull(v, nullptr, 10);
-    } else if (const char* v = value("--multi-home-pct=")) {
-      if (!parse_int(v, "--multi-home-pct", 0, 100,
-                     &cfg.multi_home_pct)) {
-        return 2;
-      }
-    } else if (const char* v = value("--batch=")) {
-      if (!parse_int(v, "--batch", 1, 1 << 16, &cfg.batch_per_round)) {
-        return 2;
-      }
-    } else if (const char* v = value("--net-latency=")) {
-      cfg.net.latency_cycles = std::strtoull(v, nullptr, 10);
-    } else if (const char* v = value("--seed=")) {
-      cfg.seed = std::strtoull(v, nullptr, 10);
-    } else if (const char* v = value("--json=")) {
-      if (*v == '\0') {
-        return Usage(argv[0], "--json= needs a file path (or -)");
-      }
-      json_path = v;
-    } else if (arg == "--fingerprint") {
-      print_fingerprint = true;
-    } else if (const char* v = value("--chaos-node-death=")) {
-      // Same PROB[@NTH] grammar as imoltp_run's --chaos-points values.
-      std::vector<std::pair<std::string, imoltp::fault::FaultPointConfig>>
-          parsed;
-      std::string error;
-      if (!imoltp::tools::ParseChaosPoints(
-              std::string(imoltp::fault::kNodeDeath) + "=" + v, &parsed,
-              &error)) {
-        return Usage(argv[0], error);
-      }
-      cfg.chaos.enabled = true;
-      cfg.chaos.probability = parsed[0].second.probability;
-      cfg.chaos.nth_hit = parsed[0].second.nth_hit;
-    } else if (arg == "--no-recover") {
-      cfg.chaos.recover = false;
-    } else if (const char* v = value("--sweep-pcts=")) {
-      sweep_spec = v;
-    } else if (const char* v = value("--trace-sample=")) {
-      uint64_t sample = 0;
-      std::string error;
-      if (!ParseTraceSample(v, &sample, &error)) {
-        return Usage(argv[0], error);
-      }
-      cfg.trace.enabled = sample > 0;
-      cfg.trace.sample = sample;
-      trace_flag_set = true;
-    } else if (const char* v = value("--trace-ring=")) {
-      int ring = 0;
-      if (!parse_int(v, "--trace-ring", 1, 1 << 24, &ring)) return 2;
-      cfg.trace.ring_capacity = static_cast<size_t>(ring);
-    } else if (const char* v = value("--timeline-out=")) {
-      if (*v == '\0') {
-        return Usage(argv[0], "--timeline-out= needs a file path");
-      }
-      timeline_path = v;
-    } else if (arg == "--help" || arg == "-h") {
-      Usage(argv[0]);
-      return 0;
-    } else {
-      return Usage(argv[0], "unknown flag: " + arg);
-    }
-  }
+  if (const auto rc = table.ParseOrExit(argc - 1, argv + 1)) return *rc;
+  ClusterConfig& cfg = args.cfg;
 
   // A requested timeline needs traces to draw; default to tracing
   // everything unless the user dialed the sample themselves.
-  if (!timeline_path.empty() && !trace_flag_set) {
+  if (!args.timeline_path.empty() && !args.trace_flag_set) {
     cfg.trace.enabled = true;
     cfg.trace.sample = 1;
   }
-
-  if (!imoltp::engine::ParseEngineKind(engine_name, &cfg.engine_kind)) {
-    return Usage(argv[0],
-                 "unknown engine: " + engine_name + " (choices: " +
-                     imoltp::engine::EngineKindChoices() + ")");
-  }
+  imoltp::engine::ParseEngineKind(args.engine_name, &cfg.engine_kind);
   if (cfg.warehouses_per_node % cfg.workers_per_node != 0) {
-    return Usage(argv[0],
-                 "--warehouses-per-node must be divisible by "
-                 "--workers-per-node");
+    return imoltp::tools::UsageError(
+        table.program(),
+        "--warehouses-per-node must be divisible by --workers-per-node");
+  }
+  if (cmd == "sweep" && !args.timeline_path.empty()) {
+    return imoltp::tools::UsageError(
+        table.program(), "--timeline-out only applies to `run`");
   }
 
   if (cmd == "run") {
@@ -308,7 +202,7 @@ int main(int argc, char** argv) {
                    s.message().c_str());
       return 1;
     }
-    if (print_fingerprint) {
+    if (args.print_fingerprint) {
       std::fprintf(stderr, "fingerprint: %016llx\n",
                    static_cast<unsigned long long>(
                        cluster.result().fingerprint));
@@ -319,28 +213,21 @@ int main(int argc, char** argv) {
         std::fprintf(stderr, "invariant violation: %s\n", v.c_str());
       }
     }
-    if (!timeline_path.empty()) {
+    if (!args.timeline_path.empty()) {
       const int rc = WriteOut(
-          timeline_path, imoltp::dist::ClusterTimelineToJson(cluster));
+          args.timeline_path, imoltp::dist::ClusterTimelineToJson(cluster));
       if (rc != 0) return rc;
     }
-    const int rc =
-        WriteOut(json_path, imoltp::dist::ClusterReportToJson(&cluster));
+    const int rc = WriteOut(args.json_path,
+                            imoltp::dist::ClusterReportToJson(&cluster));
     if (rc != 0) return rc;
     return cluster.result().invariants.ok ? 0 : 1;
   }
 
   // sweep: one full cluster per percentage, everything else fixed.
-  if (!timeline_path.empty()) {
-    return Usage(argv[0], "--timeline-out only applies to `run`");
-  }
-  std::vector<int> pcts;
-  std::string error;
-  if (!ParsePcts(sweep_spec, &pcts, &error)) return Usage(argv[0], error);
-
   std::vector<SweepPoint> points;
   bool all_ok = true;
-  for (int pct : pcts) {
+  for (int pct : args.pcts) {
     ClusterConfig point_cfg = cfg;
     point_cfg.multi_home_pct = pct;
     Cluster cluster(point_cfg);
@@ -376,7 +263,8 @@ int main(int argc, char** argv) {
     }
     points.push_back(std::move(point));
   }
-  const int rc = WriteOut(json_path, ClusterSweepToJson(cfg, points));
+  const int rc =
+      WriteOut(args.json_path, ClusterSweepToJson(cfg, points));
   if (rc != 0) return rc;
   return all_ok ? 0 : 1;
 }

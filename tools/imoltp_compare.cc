@@ -25,9 +25,8 @@
 // Exit codes: 0 = within tolerance, 1 = regression/drift, 2 = usage or
 // parse error.
 
+#include <cstdint>
 #include <cstdio>
-#include <cstdlib>
-#include <cstring>
 #include <initializer_list>
 #include <string>
 #include <utility>
@@ -36,42 +35,13 @@
 #include "mcsim/counters.h"
 #include "obs/bench_json.h"
 #include "obs/json.h"
+#include "tools/flags.h"
 
 using namespace imoltp;
 using obs::BenchCell;
 using obs::BenchMatrix;
 
 namespace {
-
-int Usage(const char* argv0, const std::string& error) {
-  if (!error.empty()) {
-    std::fprintf(stderr, "%s: %s\n", argv0, error.c_str());
-  }
-  std::fprintf(stderr,
-               "usage: %s [--ipc-rtol=X] [--max-regress=X] "
-               "[--allow-missing]\n"
-               "          baseline.json candidate.json...\n",
-               argv0);
-  return 2;
-}
-
-bool ReadFile(const std::string& path, std::string* out,
-              std::string* error) {
-  std::FILE* f = std::fopen(path.c_str(), "rb");
-  if (f == nullptr) {
-    *error = "cannot open " + path;
-    return false;
-  }
-  char buf[1 << 16];
-  size_t n;
-  while ((n = std::fread(buf, 1, sizeof(buf), f)) > 0) {
-    out->append(buf, n);
-  }
-  const bool ok = std::ferror(f) == 0;
-  std::fclose(f);
-  if (!ok) *error = "read error on " + path;
-  return ok;
-}
 
 double NumberAt(const obs::JsonValue& root,
                 std::initializer_list<const char*> path) {
@@ -145,7 +115,7 @@ BenchMatrix MatrixFromRunReport(const obs::JsonValue& root,
 bool LoadMatrix(const std::string& path, BenchMatrix* out,
                 std::string* error) {
   std::string text;
-  if (!ReadFile(path, &text, error)) return false;
+  if (!tools::ReadFile(path, &text, error)) return false;
   auto parsed = obs::ParseJson(text);
   if (!parsed.ok()) {
     *error = path + ": " + parsed.status().ToString();
@@ -243,36 +213,22 @@ void PrintStallTable(const std::vector<BenchMatrix>& matrices) {
 
 int main(int argc, char** argv) {
   obs::BenchCompareOptions options;
-  std::vector<std::string> paths;
-  for (int i = 1; i < argc; ++i) {
-    const std::string arg = argv[i];
-    auto value = [&](const char* prefix) -> const char* {
-      const size_t n = std::strlen(prefix);
-      return arg.compare(0, n, prefix) == 0 ? arg.c_str() + n : nullptr;
-    };
-    if (const char* v = value("--ipc-rtol=")) {
-      options.ipc_rtol = std::atof(v);
-      if (options.ipc_rtol <= 0) {
-        return Usage(argv[0], std::string("bad --ipc-rtol: ") + v);
-      }
-    } else if (const char* v = value("--max-regress=")) {
-      options.max_regress = std::atof(v);
-      if (options.max_regress <= 0) {
-        return Usage(argv[0], std::string("bad --max-regress: ") + v);
-      }
-    } else if (arg == "--allow-missing") {
-      options.allow_missing = true;
-    } else if (arg == "--help" || arg == "-h") {
-      Usage(argv[0], "");
-      return 0;
-    } else if (arg.rfind("--", 0) == 0) {
-      return Usage(argv[0], "unknown flag: " + arg);
-    } else {
-      paths.push_back(arg);
-    }
-  }
+  tools::FlagTable t("imoltp_compare",
+                     "[flags] baseline.json candidate.json...", SIZE_MAX);
+  t.Real("ipc-rtol", &options.ipc_rtol,
+         "symmetric relative drift allowed in simulated metrics",
+         /*allow_zero=*/false);
+  t.Real("max-regress", &options.max_regress,
+         "one-sided host-speed regression allowed (refs/sec, else "
+         "wall-clock)",
+         /*allow_zero=*/false);
+  t.Bool("allow-missing", &options.allow_missing,
+         "let candidates lack baseline cells (reduced sweeps)");
+  if (const auto rc = t.ParseOrExit(argc, argv)) return *rc;
+  const std::vector<std::string>& paths = t.positional();
   if (paths.size() < 2) {
-    return Usage(argv[0], "need a baseline and at least one candidate");
+    return tools::UsageError(t.program(),
+                             "need a baseline and at least one candidate");
   }
 
   std::vector<BenchMatrix> matrices;

@@ -8,21 +8,14 @@
 //   imoltp_diff --rtol=0.05 --metric-rtol=spans=0.2 a.json b.json
 //   imoltp_diff --json a.json b.json   # machine-readable verdict
 //
-// Flags:
-//   --rtol=X                default relative tolerance (default 0.02)
-//   --metric-rtol=PREFIX=X  override for metrics whose dotted path
-//                           starts with PREFIX (repeatable)
-//   --ignore=PREFIX         skip metrics under PREFIX (repeatable)
-//   --json                  emit the verdict as one JSON object on
-//                           stdout ({verdict, baseline, candidate,
-//                           failures:[{path, detail}]}) instead of the
-//                           human-readable lines
+// `imoltp_diff --help` lists every flag with its default. Explicit
+// --metric-rtol and --ignore rules take precedence over the built-in
+// ones below.
 //
 // Exit codes: 0 = within tolerance, 1 = drift (offending metrics are
 // printed), 2 = usage or parse error.
 //
-// Built-in per-metric rules (longest matching prefix wins; explicit
-// --metric-rtol/--ignore flags take precedence over all of them):
+// Built-in per-metric rules (longest matching prefix wins):
 //   meta, schema_version          exact — different run configurations
 //                                 are incomparable, not "drifted"
 //   meta.trace                    ignored — trace provenance names the
@@ -79,13 +72,12 @@
 
 #include <cmath>
 #include <cstdio>
-#include <cstdlib>
-#include <cstring>
 #include <string>
 #include <vector>
 
 #include "obs/json.h"
 #include "obs/report_json.h"
+#include "tools/flags.h"
 
 using imoltp::obs::JsonValue;
 using imoltp::obs::ParseJson;
@@ -309,85 +301,48 @@ void Compare(const JsonValue& a, const JsonValue& b,
   }
 }
 
-int Usage(const char* argv0) {
-  std::fprintf(stderr,
-               "usage: %s [--rtol=X] [--metric-rtol=PREFIX=X]... "
-               "[--ignore=PREFIX]... [--json] "
-               "baseline.json candidate.json\n",
-               argv0);
-  return 2;
-}
-
-bool ReadFile(const std::string& path, std::string* out,
-              std::string* error) {
-  std::FILE* f = std::fopen(path.c_str(), "rb");
-  if (f == nullptr) {
-    *error = "cannot open " + path;
-    return false;
-  }
-  char buf[1 << 16];
-  size_t n;
-  while ((n = std::fread(buf, 1, sizeof(buf), f)) > 0) {
-    out->append(buf, n);
-  }
-  const bool ok = std::ferror(f) == 0;
-  std::fclose(f);
-  if (!ok) *error = "read error on " + path;
-  return ok;
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
   Options opts;
-  std::vector<std::string> positional;
-  for (int i = 1; i < argc; ++i) {
-    const std::string arg = argv[i];
-    if (arg.rfind("--rtol=", 0) == 0) {
-      char* end = nullptr;
-      opts.default_rtol = std::strtod(arg.c_str() + 7, &end);
-      if (end == nullptr || *end != '\0' || opts.default_rtol < 0) {
-        std::fprintf(stderr, "%s: bad --rtol value\n", argv[0]);
-        return 2;
-      }
-    } else if (arg.rfind("--metric-rtol=", 0) == 0) {
-      const std::string spec = arg.substr(14);
-      const size_t eq = spec.rfind('=');
-      if (eq == std::string::npos || eq == 0) {
-        std::fprintf(stderr,
-                     "%s: --metric-rtol needs PREFIX=X, got '%s'\n",
-                     argv[0], spec.c_str());
-        return 2;
-      }
-      char* end = nullptr;
-      const double rtol = std::strtod(spec.c_str() + eq + 1, &end);
-      if (end == nullptr || *end != '\0' || rtol < 0) {
-        std::fprintf(stderr, "%s: bad --metric-rtol value in '%s'\n",
-                     argv[0], spec.c_str());
-        return 2;
-      }
-      opts.user_rules.push_back({spec.substr(0, eq), rtol});
-    } else if (arg.rfind("--ignore=", 0) == 0) {
-      opts.user_rules.push_back({arg.substr(9), -1.0});
-    } else if (arg == "--json") {
-      opts.json_output = true;
-    } else if (arg == "--help" || arg == "-h") {
-      Usage(argv[0]);
-      return 0;
-    } else if (arg.rfind("--", 0) == 0) {
-      std::fprintf(stderr, "%s: unknown flag %s\n", argv[0], arg.c_str());
-      return Usage(argv[0]);
-    } else {
-      positional.push_back(arg);
-    }
+  imoltp::tools::FlagTable t("imoltp_diff",
+                             "[flags] baseline.json candidate.json", 2);
+  t.Real("rtol", &opts.default_rtol, "default relative tolerance",
+         /*allow_zero=*/true);
+  t.Custom("metric-rtol", "PREFIX=X",
+           "relative tolerance for metrics whose dotted path starts with "
+           "PREFIX",
+           [&opts](const std::string& spec, std::string* why) {
+             const size_t eq = spec.rfind('=');
+             double rtol = 0;
+             if (eq == std::string::npos || eq == 0 ||
+                 !imoltp::tools::ParseReal(spec.substr(eq + 1), &rtol)) {
+               return *why = "want PREFIX=X with X >= 0", false;
+             }
+             opts.user_rules.push_back({spec.substr(0, eq), rtol});
+             return true;
+           })
+      .repeatable = true;
+  t.Custom("ignore", "PREFIX", "skip metrics under PREFIX",
+           [&opts](const std::string& prefix, std::string*) {
+             opts.user_rules.push_back({prefix, -1.0});
+             return true;
+           })
+      .repeatable = true;
+  t.Bool("json", &opts.json_output,
+         "print the verdict as one JSON object on stdout: {verdict, "
+         "baseline, candidate, failures:[{path, detail}]}");
+  if (const auto rc = t.ParseOrExit(argc, argv)) return *rc;
+  if (t.positional().size() != 2) {
+    return imoltp::tools::UsageError(
+        t.program(), "need a baseline and a candidate report");
   }
-  if (positional.size() != 2) return Usage(argv[0]);
-  opts.baseline_path = positional[0];
-  opts.candidate_path = positional[1];
+  opts.baseline_path = t.positional()[0];
+  opts.candidate_path = t.positional()[1];
 
   std::string base_text, cand_text, error;
-  if (!ReadFile(opts.baseline_path, &base_text, &error) ||
-      !ReadFile(opts.candidate_path, &cand_text, &error)) {
+  if (!imoltp::tools::ReadFile(opts.baseline_path, &base_text, &error) ||
+      !imoltp::tools::ReadFile(opts.candidate_path, &cand_text, &error)) {
     std::fprintf(stderr, "%s: %s\n", argv[0], error.c_str());
     return 2;
   }

@@ -40,39 +40,13 @@
 
 #include "obs/json.h"
 #include "obs/timeline.h"
+#include "tools/flags.h"
 
 using imoltp::Status;
 using imoltp::obs::JsonValue;
 using imoltp::obs::ParseJson;
 
 namespace {
-
-int Usage(const char* argv0) {
-  std::fprintf(stderr,
-               "usage: %s validate|info|render FILE\n"
-               "FILE is a timeline written by imoltp_run or "
-               "imoltp_cluster run, --timeline-out=FILE\n",
-               argv0);
-  return 2;
-}
-
-bool ReadFile(const std::string& path, std::string* out,
-              std::string* error) {
-  std::FILE* f = std::fopen(path.c_str(), "rb");
-  if (f == nullptr) {
-    *error = "cannot open " + path;
-    return false;
-  }
-  char buf[1 << 16];
-  size_t n;
-  while ((n = std::fread(buf, 1, sizeof(buf), f)) > 0) {
-    out->append(buf, n);
-  }
-  const bool ok = std::ferror(f) == 0;
-  std::fclose(f);
-  if (!ok) *error = "read error on " + path;
-  return ok;
-}
 
 double NumberOr(const JsonValue* v, double fallback) {
   return v != nullptr && v->is_number() ? v->number : fallback;
@@ -343,21 +317,27 @@ int RunRender(const JsonValue& root) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  if (argc == 2 && (std::strcmp(argv[1], "--help") == 0 ||
-                    std::strcmp(argv[1], "-h") == 0 ||
-                    std::strcmp(argv[1], "help") == 0)) {
-    Usage(argv[0]);
+  imoltp::tools::FlagTable t("imoltp_timeline", "validate|info|render FILE",
+                             2);
+  if (argc == 2 && std::strcmp(argv[1], "help") == 0) {
+    std::fputs(t.Usage().c_str(), stdout);
     return 0;
   }
-  if (argc != 3) return Usage(argv[0]);
-  const std::string cmd = argv[1];
-  const std::string path = argv[2];
+  if (const auto rc = t.ParseOrExit(argc, argv)) return *rc;
+  if (t.positional().size() != 2) {
+    return imoltp::tools::UsageError(t.program(),
+                                     "need a subcommand and a FILE");
+  }
+  const std::string& cmd = t.positional()[0];
+  const std::string& path = t.positional()[1];
   if (cmd != "validate" && cmd != "info" && cmd != "render") {
-    return Usage(argv[0]);
+    return imoltp::tools::UsageError(
+        t.program(),
+        "unknown subcommand: " + cmd + " (choices: validate info render)");
   }
 
   std::string text, error;
-  if (!ReadFile(path, &text, &error)) {
+  if (!imoltp::tools::ReadFile(path, &text, &error)) {
     std::fprintf(stderr, "%s: %s\n", argv[0], error.c_str());
     return 2;
   }

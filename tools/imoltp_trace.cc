@@ -8,25 +8,26 @@
 //   imoltp_trace replay run.trace --config=llc=2MB,pf=off --json=-
 //   imoltp_trace sweep run.trace --cell=no-pf:pf=off --threads=8
 //
-// Subcommands:
+// Subcommands (`imoltp_trace --help` lists each one's flags):
 //   record   run one live experiment (same flags as imoltp_run) and
 //            write its reference stream to --trace-out=FILE
 //   info     print the trace header and validate the whole stream
-//   replay   re-simulate one trace; --config=SPEC overrides the
-//            recorded machine (see below), --json=FILE emits a report
-//   sweep    fan one trace across N configs on N threads; each
-//            --cell=LABEL:SPEC adds a cell (default: an 8-cell
-//            cache/prefetcher ablation grid)
+//   replay   re-simulate one trace, optionally through an overridden
+//            machine configuration
+//   sweep    fan one trace across N configs on N threads (default: an
+//            8-cell cache/prefetcher ablation grid)
 //
 // Config spec: comma-separated key=value overrides applied to the
 // recorded configuration. Keys: l1i l1d l2 llc (sizes), l2_assoc
 // llc_assoc, line, pf=on|off, pfdeg=N, tlb=on|off, base_cpi,
-// cpi_floor, clock. Empty or "recorded" replays the header config.
+// cpi_floor, clock. "recorded" replays the header config.
 
+#include <algorithm>
 #include <cstdio>
 #include <memory>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "core/experiment.h"
@@ -41,16 +42,55 @@ using namespace imoltp;
 
 namespace {
 
-int Usage(const char* argv0, const std::string& error) {
-  if (!error.empty()) std::fprintf(stderr, "%s: %s\n", argv0, error.c_str());
-  std::fprintf(
-      stderr,
-      "usage: %s record <imoltp_run flags> --trace-out=FILE\n"
-      "       %s info FILE\n"
-      "       %s replay FILE [--config=SPEC] [--json=FILE]\n"
-      "       %s sweep FILE [--cell=LABEL:SPEC]... [--threads=N]\n",
-      argv0, argv0, argv0, argv0);
-  return 2;
+constexpr const char* kRecordArgs = "[imoltp_run flags] --trace-out=FILE";
+
+tools::FlagTable InfoTable() {
+  return tools::FlagTable("imoltp_trace info", "FILE", 1);
+}
+
+struct ReplayArgs {
+  std::string spec;
+  std::string json_path;
+};
+
+tools::FlagTable ReplayTable(ReplayArgs* args) {
+  tools::FlagTable t("imoltp_trace replay", "FILE [flags]", 1);
+  t.String("config", &args->spec, "SPEC",
+           "key=value,... overrides of the recorded machine");
+  t.String("json", &args->json_path, "FILE",
+           "write the JSON report (- = stdout)");
+  return t;
+}
+
+struct SweepArgs {
+  std::vector<std::pair<std::string, std::string>> specs;  // label, spec
+  int threads = std::max(1u, std::thread::hardware_concurrency());
+};
+
+tools::FlagTable SweepTable(SweepArgs* args) {
+  tools::FlagTable t("imoltp_trace sweep", "FILE [flags]", 1);
+  t.Custom("cell", "LABEL:SPEC",
+           "add one cell (default: the ablation grid)",
+           [args](const std::string& cell, std::string* why) {
+             const size_t colon = cell.find(':');
+             if (colon == std::string::npos || colon == 0) {
+               return *why = "want LABEL:SPEC", false;
+             }
+             args->specs.emplace_back(cell.substr(0, colon),
+                                      cell.substr(colon + 1));
+             return true;
+           })
+      .repeatable = true;
+  t.Int("threads", &args->threads, 1, 1024, "replay threads");
+  return t;
+}
+
+std::string Usage() {
+  ReplayArgs replay;
+  SweepArgs sweep;
+  return tools::RunUsage("imoltp_trace record", kRecordArgs) +
+         InfoTable().Usage() + ReplayTable(&replay).Usage() +
+         SweepTable(&sweep).Usage();
 }
 
 obs::RunInfo ReplayRunInfo(const trace::ReplayResult& result) {
@@ -71,18 +111,23 @@ obs::RunInfo ReplayRunInfo(const trace::ReplayResult& result) {
 }
 
 int CmdRecord(const char* argv0, int argc, char** argv) {
+  constexpr const char* kProgram = "imoltp_trace record";
   tools::Flags flags;
   std::string error;
   if (!tools::ParseCommandLine(argc, argv, &flags, &error)) {
-    return Usage(argv0, error);
+    return tools::UsageError(kProgram, error);
+  }
+  if (flags.help) {
+    std::fputs(tools::RunUsage(kProgram, kRecordArgs).c_str(), stdout);
+    return 0;
   }
   if (flags.trace_out.empty()) {
-    return Usage(argv0, "record needs --trace-out=FILE");
+    return tools::UsageError(kProgram, "record needs --trace-out=FILE");
   }
   core::ExperimentConfig cfg;
   std::unique_ptr<core::Workload> workload;
   if (!tools::BuildExperiment(flags, &cfg, &workload, &error)) {
-    return Usage(argv0, error);
+    return tools::UsageError(kProgram, error);
   }
 
   std::fprintf(stderr, "recording %s / %s ...\n", flags.engine.c_str(),
@@ -122,9 +167,13 @@ int CmdRecord(const char* argv0, int argc, char** argv) {
 }
 
 int CmdInfo(const char* argv0, int argc, char** argv) {
-  if (argc != 1) return Usage(argv0, "info takes exactly one FILE");
+  tools::FlagTable table = InfoTable();
+  if (const auto rc = table.ParseOrExit(argc, argv)) return *rc;
+  if (table.positional().size() != 1) {
+    return tools::UsageError(table.program(), "info needs a FILE");
+  }
   trace::TraceReader reader;
-  Status s = reader.Open(argv[0]);
+  Status s = reader.Open(table.positional()[0]);
   if (!s.ok()) {
     std::fprintf(stderr, "%s: %s\n", argv0, s.ToString().c_str());
     return 1;
@@ -173,20 +222,13 @@ int CmdInfo(const char* argv0, int argc, char** argv) {
 }
 
 int CmdReplay(const char* argv0, int argc, char** argv) {
-  std::string path, spec, json_path;
-  for (int i = 0; i < argc; ++i) {
-    const std::string arg = argv[i];
-    if (arg.rfind("--config=", 0) == 0) {
-      spec = arg.substr(9);
-    } else if (arg.rfind("--json=", 0) == 0) {
-      json_path = arg.substr(7);
-    } else if (arg.rfind("--", 0) == 0 || !path.empty()) {
-      return Usage(argv0, "unknown replay argument: " + arg);
-    } else {
-      path = arg;
-    }
+  ReplayArgs args;
+  tools::FlagTable table = ReplayTable(&args);
+  if (const auto rc = table.ParseOrExit(argc, argv)) return *rc;
+  if (table.positional().empty()) {
+    return tools::UsageError(table.program(), "replay needs a FILE");
   }
-  if (path.empty()) return Usage(argv0, "replay needs a FILE");
+  const std::string& path = table.positional()[0];
 
   trace::TraceReader reader;
   Status s = reader.Open(path);
@@ -195,7 +237,7 @@ int CmdReplay(const char* argv0, int argc, char** argv) {
     return 1;
   }
   mcsim::MachineConfig config = reader.meta().recorded_config;
-  s = trace::ApplyConfigSpec(spec, &config);
+  s = trace::ApplyConfigSpec(args.spec, &config);
   if (!s.ok()) {
     std::fprintf(stderr, "%s: %s\n", argv0, s.ToString().c_str());
     return 2;
@@ -212,11 +254,11 @@ int CmdReplay(const char* argv0, int argc, char** argv) {
     return 1;
   }
 
-  if (!json_path.empty()) {
+  if (!args.json_path.empty()) {
     const std::string json = obs::RunReportToJson(
         ReplayRunInfo(result), result.window, config.cycle, nullptr,
         nullptr);
-    s = obs::WriteJsonFile(json_path, json);
+    s = obs::WriteJsonFile(args.json_path, json);
     if (!s.ok()) {
       std::fprintf(stderr, "%s: %s\n", argv0, s.ToString().c_str());
       return 1;
@@ -226,7 +268,8 @@ int CmdReplay(const char* argv0, int argc, char** argv) {
 
   const std::string label = result.meta.engine + " / " +
                             result.meta.workload + " (replay" +
-                            (spec.empty() ? "" : ", " + spec) + ")";
+                            (args.spec.empty() ? "" : ", " + args.spec) +
+                            ")";
   core::ReportRow row{label, result.window};
   core::PrintIpc("Replay", {row});
   core::PrintStallsPerKInstr("Replay", {row});
@@ -236,34 +279,18 @@ int CmdReplay(const char* argv0, int argc, char** argv) {
 }
 
 int CmdSweep(const char* argv0, int argc, char** argv) {
-  std::string path;
-  std::vector<std::pair<std::string, std::string>> specs;  // label, spec
-  int threads = static_cast<int>(std::thread::hardware_concurrency());
-  if (threads < 1) threads = 1;
-  for (int i = 0; i < argc; ++i) {
-    const std::string arg = argv[i];
-    if (arg.rfind("--cell=", 0) == 0) {
-      const std::string cell = arg.substr(7);
-      const size_t colon = cell.find(':');
-      if (colon == std::string::npos || colon == 0) {
-        return Usage(argv0, "--cell needs LABEL:SPEC, got '" + cell + "'");
-      }
-      specs.emplace_back(cell.substr(0, colon), cell.substr(colon + 1));
-    } else if (arg.rfind("--threads=", 0) == 0) {
-      threads = std::atoi(arg.c_str() + 10);
-      if (threads < 1) return Usage(argv0, "bad --threads value");
-    } else if (arg.rfind("--", 0) == 0 || !path.empty()) {
-      return Usage(argv0, "unknown sweep argument: " + arg);
-    } else {
-      path = arg;
-    }
+  SweepArgs args;
+  tools::FlagTable table = SweepTable(&args);
+  if (const auto rc = table.ParseOrExit(argc, argv)) return *rc;
+  if (table.positional().empty()) {
+    return tools::UsageError(table.program(), "sweep needs a FILE");
   }
-  if (path.empty()) return Usage(argv0, "sweep needs a FILE");
-  if (specs.empty()) {
-    specs = {{"recorded", ""},        {"no-pf", "pf=off"},
-             {"no-tlb", "tlb=off"},   {"llc-2MB", "llc=2MB"},
-             {"llc-8MB", "llc=8MB"},  {"llc-32MB", "llc=32MB"},
-             {"l1d-16KB", "l1d=16KB"}, {"l1i-16KB", "l1i=16KB"}};
+  const std::string& path = table.positional()[0];
+  if (args.specs.empty()) {
+    args.specs = {{"recorded", ""},         {"no-pf", "pf=off"},
+                  {"no-tlb", "tlb=off"},    {"llc-2MB", "llc=2MB"},
+                  {"llc-8MB", "llc=8MB"},   {"llc-32MB", "llc=32MB"},
+                  {"l1d-16KB", "l1d=16KB"}, {"l1i-16KB", "l1i=16KB"}};
   }
 
   trace::TraceReader reader;
@@ -273,7 +300,7 @@ int CmdSweep(const char* argv0, int argc, char** argv) {
     return 1;
   }
   std::vector<trace::SweepCell> cells;
-  for (const auto& [label, spec] : specs) {
+  for (const auto& [label, spec] : args.specs) {
     trace::SweepCell cell;
     cell.label = label;
     cell.config = reader.meta().recorded_config;
@@ -287,8 +314,8 @@ int CmdSweep(const char* argv0, int argc, char** argv) {
   }
 
   std::fprintf(stderr, "sweeping %zu configs over %s on %d threads ...\n",
-               cells.size(), path.c_str(), threads);
-  trace::RunSweep(path, &cells, threads);
+               cells.size(), path.c_str(), args.threads);
+  trace::RunSweep(path, &cells, args.threads);
 
   std::printf("%-12s %8s %12s %12s %10s %10s\n", "cell", "ipc",
               "instr/txn", "cycles/txn", "i-stall/kI", "d-stall/kI");
@@ -313,15 +340,17 @@ int CmdSweep(const char* argv0, int argc, char** argv) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  if (argc < 2) return Usage(argv[0], "missing subcommand");
-  const std::string cmd = argv[1];
+  const std::string cmd = argc < 2 ? "" : argv[1];
+  if (cmd == "record") return CmdRecord(argv[0], argc - 1, argv + 1);
+  if (cmd == "info") return CmdInfo(argv[0], argc - 1, argv + 1);
+  if (cmd == "replay") return CmdReplay(argv[0], argc - 1, argv + 1);
+  if (cmd == "sweep") return CmdSweep(argv[0], argc - 1, argv + 1);
   if (cmd == "--help" || cmd == "-h" || cmd == "help") {
-    Usage(argv[0], "");
+    std::fputs(Usage().c_str(), stdout);
     return 0;
   }
-  if (cmd == "record") return CmdRecord(argv[0], argc - 1, argv + 1);
-  if (cmd == "info") return CmdInfo(argv[0], argc - 2, argv + 2);
-  if (cmd == "replay") return CmdReplay(argv[0], argc - 2, argv + 2);
-  if (cmd == "sweep") return CmdSweep(argv[0], argc - 2, argv + 2);
-  return Usage(argv[0], "unknown subcommand: " + cmd);
+  return tools::UsageError(
+      "imoltp_trace",
+      (cmd.empty() ? "missing subcommand" : "unknown subcommand: " + cmd) +
+          " (choices: record info replay sweep)");
 }
