@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cstring>
+#include <iterator>
 #include <unordered_set>
 
 namespace imoltp::engine {
@@ -410,11 +411,19 @@ uint64_t EngineBase::AppendedLogRecords() const {
   return n;
 }
 
-std::vector<txn::LogRecord> EngineBase::StableLog() const {
+namespace {
+
+// Merges per-worker logs (each already in LSN order) into one LSN-ordered
+// log; `flushed_only` keeps each worker's flushed prefix.
+std::vector<txn::LogRecord> MergeLogs(
+    const std::vector<std::unique_ptr<txn::LogManager>>& logs,
+    bool flushed_only) {
   std::vector<txn::LogRecord> merged;
-  for (const auto& log : logs_) {
-    const auto& records = log->stable_log();
-    merged.insert(merged.end(), records.begin(), records.end());
+  for (const auto& log : logs) {
+    std::vector<txn::LogRecord> records =
+        flushed_only ? log->flushed_log() : log->stable_log();
+    merged.insert(merged.end(), std::make_move_iterator(records.begin()),
+                  std::make_move_iterator(records.end()));
   }
   std::sort(merged.begin(), merged.end(),
             [](const txn::LogRecord& a, const txn::LogRecord& b) {
@@ -423,19 +432,14 @@ std::vector<txn::LogRecord> EngineBase::StableLog() const {
   return merged;
 }
 
+}  // namespace
+
+std::vector<txn::LogRecord> EngineBase::StableLog() const {
+  return MergeLogs(logs_, /*flushed_only=*/false);
+}
+
 std::vector<txn::LogRecord> EngineBase::FlushedLog() const {
-  std::vector<txn::LogRecord> merged;
-  for (const auto& log : logs_) {
-    const auto& records = log->stable_log();
-    merged.insert(merged.end(), records.begin(),
-                  records.begin() +
-                      static_cast<std::ptrdiff_t>(log->flushed_records()));
-  }
-  std::sort(merged.begin(), merged.end(),
-            [](const txn::LogRecord& a, const txn::LogRecord& b) {
-              return a.lsn < b.lsn;
-            });
-  return merged;
+  return MergeLogs(logs_, /*flushed_only=*/true);
 }
 
 Status EngineBase::RedoPass(const std::vector<txn::LogRecord>& log,

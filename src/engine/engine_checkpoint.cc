@@ -391,7 +391,7 @@ Status EngineBase::Recover(const std::vector<txn::CheckpointImage>& device,
       case txn::LogOp::kInsert: {
         // The loser inserted this row; remove it wherever it landed.
         // All operations are no-ops if the fuzzy capture missed it.
-        if (!rec.key.empty()) {
+        if (slice.primary != nullptr && !rec.key.empty()) {
           PrimaryRemove(core, slice,
                         index::Key::FromBytes(
                             rec.key.data(),
@@ -408,7 +408,7 @@ Status EngineBase::Recover(const std::vector<txn::CheckpointImage>& device,
         if (rec.before.size() < rt.def.schema.row_bytes()) break;
         SliceRestore(core, slice, rec.row, rec.before.data(),
                      /*present=*/true);
-        if (!rec.key.empty()) {
+        if (slice.primary != nullptr && !rec.key.empty()) {
           const index::Key k = index::Key::FromBytes(
               rec.key.data(), static_cast<uint32_t>(rec.key.size()));
           PrimaryRemove(core, slice, k);

@@ -1,8 +1,33 @@
 #include "engine/partitioned_engine.h"
 
+#include <array>
+#include <cstddef>
+#include <cstring>
+
 #include "obs/span.h"
 
 namespace imoltp::engine {
+
+namespace {
+
+/// The bytes command logging records for `request`: each field at its
+/// in-memory offset in a zeroed buffer of the struct's size, so the
+/// struct's padding never carries indeterminate bytes into the log.
+std::array<uint8_t, sizeof(TxnRequest)> EncodeCommand(
+    const TxnRequest& request) {
+  std::array<uint8_t, sizeof(TxnRequest)> out{};
+  std::memcpy(out.data() + offsetof(TxnRequest, type), &request.type,
+              sizeof(request.type));
+  std::memcpy(out.data() + offsetof(TxnRequest, partition_key),
+              &request.partition_key, sizeof(request.partition_key));
+  std::memcpy(out.data() + offsetof(TxnRequest, key_space),
+              &request.key_space, sizeof(request.key_space));
+  std::memcpy(out.data() + offsetof(TxnRequest, statements),
+              &request.statements, sizeof(request.statements));
+  return out;
+}
+
+}  // namespace
 
 PartitionedEngine::PartitionedEngine(EngineKind kind,
                                      mcsim::MachineSim* machine,
@@ -360,9 +385,10 @@ Status PartitionedEngine::Execute(
     if (!compiled_) {
       // Command logging: one record per transaction invocation.
       Exec(core, log_);
+      const auto command = EncodeCommand(request);
       logs_[core->core_id()]->Append(core, txn::LogOp::kCommand, txn_id,
-                                     -1, 0, -1, &request,
-                                     sizeof(request));
+                                     -1, 0, -1, command.data(),
+                                     static_cast<uint32_t>(command.size()));
     } else {
       logs_[core->core_id()]->LogCommit(core, txn_id);
     }

@@ -4,6 +4,7 @@
 #include <atomic>
 #include <cstdint>
 #include <cstring>
+#include <deque>
 #include <memory>
 #include <vector>
 
@@ -59,12 +60,20 @@ struct LogRecord {
 ///
 /// Records are also retained in a "stable log" (the simulated durable
 /// medium) so Engine::Replay can REDO committed work onto a fresh
-/// database (see engine/engine.h).
+/// database (see engine/engine.h). The stable log is a compact device:
+/// one append-only arena of fixed blocks per worker, each record stored
+/// once as a 48-byte header followed by its payload, key and
+/// before-image bytes. `LogRecord`s are built only when a caller asks
+/// for them (recovery, chaos and test boundaries).
 class LogManager {
  public:
+  /// Device block size. A record larger than one block gets a block of
+  /// its own.
+  static constexpr uint32_t kDeviceBlockBytes = 256 << 10;
+
   explicit LogManager(uint32_t buffer_bytes = 1 << 20)
       : capacity_(buffer_bytes),
-        buffer_(std::make_unique<uint8_t[]>(buffer_bytes)) {}
+        buffer_(std::make_unique_for_overwrite<uint8_t[]>(buffer_bytes)) {}
 
   LogManager(const LogManager&) = delete;
   LogManager& operator=(const LogManager&) = delete;
@@ -96,10 +105,17 @@ class LogManager {
     return Append(core, LogOp::kAbort, txn_id, -1, 0, -1, nullptr, 0);
   }
 
-  const std::vector<LogRecord>& stable_log() const { return stable_; }
+  /// The retained records in LSN order, decoded from the device.
+  std::vector<LogRecord> stable_log() const { return Decode(records_); }
+
+  /// The leading flushed_records() of stable_log(): what survives a
+  /// crash that loses the ring.
+  std::vector<LogRecord> flushed_log() const {
+    return Decode(flushed_records_);
+  }
 
   uint64_t bytes_logged() const { return bytes_logged_; }
-  uint64_t records() const { return stable_.size(); }
+  uint64_t records() const { return records_; }
   uint64_t flushes() const { return flushes_; }
   uint32_t capacity() const { return capacity_; }
 
@@ -114,8 +130,8 @@ class LogManager {
   /// a captured page may hold effects of records still in the ring, and
   /// those records must reach the device before the page does.
   void FlushAll() {
-    if (flushed_records_ == stable_.size()) return;
-    flushed_records_ = stable_.size();
+    if (flushed_records_ == records_) return;
+    flushed_records_ = records_;
     ++flushes_;
   }
 
@@ -139,22 +155,8 @@ class LogManager {
   /// so recovery can distinguish a truncated log from an empty one —
   /// both have zero records, but only one is allowed to start replay at
   /// an LSN other than 0. Per-worker logs append in LSN order, so this
-  /// is a prefix erase.
-  void Truncate(uint64_t upto_lsn) {
-    size_t drop = 0;
-    while (drop < stable_.size() && stable_[drop].lsn < upto_lsn) {
-      ++drop;
-    }
-    if (drop > 0) {
-      stable_.erase(stable_.begin(),
-                    stable_.begin() + static_cast<ptrdiff_t>(drop));
-      truncated_records_ += drop;
-      flushed_records_ = flushed_records_ > drop
-                             ? flushed_records_ - drop
-                             : 0;
-    }
-    if (upto_lsn > truncation_lsn_) truncation_lsn_ = upto_lsn;
-  }
+  /// moves the device's start cursor and frees the blocks it empties.
+  void Truncate(uint64_t upto_lsn);
 
   /// First LSN recovery may see: records below this were truncated away
   /// behind a durable checkpoint. 0 = never truncated.
@@ -167,12 +169,41 @@ class LogManager {
   /// ones — the "untruncated log length" a full-replay recovery would
   /// have had to process.
   uint64_t appended_records() const {
-    return stable_.size() + truncated_records_;
+    return records_ + truncated_records_;
   }
 
  private:
   static constexpr uint32_t kHeaderBytes = 32;
   static uint32_t Align8(uint32_t n) { return (n + 7) & ~7u; }
+
+  /// One record's fixed part on the device; payload, key and
+  /// before-image bytes follow it, and the whole record is padded to 8.
+  struct DeviceHeader {
+    static constexpr uint8_t kTorn = 1;
+    static constexpr uint8_t kClr = 2;
+    uint64_t lsn;
+    uint64_t txn_id;
+    uint64_t row;
+    uint32_t payload_bytes;
+    uint32_t key_bytes;
+    uint32_t before_bytes;
+    int16_t table;
+    int16_t column;
+    int16_t slice;
+    uint8_t op;
+    uint8_t flags;
+    uint32_t StoredBytes() const {
+      return Align8(static_cast<uint32_t>(sizeof(DeviceHeader)) +
+                    payload_bytes + key_bytes + before_bytes);
+    }
+  };
+  static_assert(sizeof(DeviceHeader) == 48);
+
+  struct DeviceBlock {
+    std::unique_ptr<uint8_t[]> bytes;
+    uint32_t capacity;
+    uint32_t used;  // records occupy [0, used)
+  };
 
   void Reserve(uint32_t bytes) {
     // A single record larger than the whole ring can never fit: wrapping
@@ -181,7 +212,7 @@ class LogManager {
     // largest record the schema can produce.
     while (Align8(bytes) + 8 > capacity_) {
       uint32_t grown = capacity_ * 2;
-      auto bigger = std::make_unique<uint8_t[]>(grown);
+      auto bigger = std::make_unique_for_overwrite<uint8_t[]>(grown);
       std::memcpy(bigger.get(), buffer_.get(), capacity_);
       buffer_ = std::move(bigger);
       capacity_ = grown;
@@ -192,9 +223,16 @@ class LogManager {
       // far is now on the durable device.
       offset_ = 0;
       ++flushes_;
-      flushed_records_ = stable_.size();
+      flushed_records_ = records_;
     }
   }
+
+  /// Returns `bytes` of device space at the tail of the newest block,
+  /// opening a new block when it does not fit.
+  uint8_t* DeviceAlloc(uint32_t bytes);
+
+  /// Builds the first `count` retained records.
+  std::vector<LogRecord> Decode(uint64_t count) const;
 
   /// Globally ordered LSNs. Atomic so per-worker logs can append from
   /// concurrent host threads in free-running parallel mode; every other
@@ -208,13 +246,17 @@ class LogManager {
   uint32_t offset_ = 0;
   uint64_t bytes_logged_ = 0;
   uint64_t flushes_ = 0;
+  uint64_t records_ = 0;  // retained (appended minus truncated)
   uint64_t flushed_records_ = 0;
   uint64_t truncated_records_ = 0;
   uint64_t truncation_lsn_ = 0;
   bool force_ = false;
   fault::FaultInjector* fault_ = nullptr;
   std::unique_ptr<uint8_t[]> buffer_;
-  std::vector<LogRecord> stable_;
+  /// The stable-log device. Every block holds at least one retained
+  /// record; the first starts at `device_head_` in the front block.
+  std::deque<DeviceBlock> device_;
+  uint32_t device_head_ = 0;
 };
 
 }  // namespace imoltp::txn

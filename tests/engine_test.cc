@@ -2,7 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <cstddef>
 #include <cstring>
+#include <new>
 
 #include "mcsim/machine.h"
 #include "storage/disk_heap_file.h"
@@ -321,6 +323,55 @@ TEST(VoltDbTest, MultiSiteModeRaisesInstructionFootprint) {
     instr[single_site] = m.core(0).counters().instructions - before;
   }
   EXPECT_GT(instr[0], instr[1]);  // multi-site path costs more
+}
+
+TEST(VoltDbTest, CommandRecordBytesIgnoreRequestPadding) {
+  // TxnRequest has padding after `type` and after `statements`. Build
+  // the request in storage poisoned with two different patterns: the
+  // logged command bytes must not differ, and must be exactly the four
+  // fields at their offsets with zeroed padding.
+  std::vector<uint8_t> payloads[2];
+  for (int pass = 0; pass < 2; ++pass) {
+    mcsim::MachineSim m(NoTlb());
+    auto engine = CreateEngine(EngineKind::kVoltDb, &m, EngineOptions());
+    ASSERT_TRUE(engine->CreateDatabase({SimpleTable(1000)}).ok());
+    alignas(TxnRequest) uint8_t buf[sizeof(TxnRequest)];
+    std::memset(buf, pass == 0 ? 0xA5 : 0x5A, sizeof(buf));
+    TxnRequest* req = new (buf) TxnRequest;
+    req->type = 3;
+    req->partition_key = 17;
+    req->key_space = 1000;
+    req->statements = 2;
+    const int64_t v = 1;
+    ASSERT_TRUE(engine
+                    ->Execute(0, *req,
+                              [&](TxnContext& ctx) {
+                                storage::RowId rid;
+                                Status st = ctx.Probe(
+                                    0, index::Key::FromUint64(17), &rid);
+                                if (!st.ok()) return st;
+                                return ctx.Update(0, rid, 1, &v);
+                              })
+                    .ok());
+    for (const auto& rec : engine->StableLog()) {
+      if (rec.op == txn::LogOp::kCommand) payloads[pass] = rec.payload;
+    }
+    ASSERT_EQ(payloads[pass].size(), sizeof(TxnRequest));
+  }
+  EXPECT_EQ(payloads[0], payloads[1]);
+  std::vector<uint8_t> expected(sizeof(TxnRequest), 0);
+  const int type = 3;
+  const uint64_t partition_key = 17;
+  const uint64_t key_space = 1000;
+  const int statements = 2;
+  std::memcpy(&expected[offsetof(TxnRequest, type)], &type, sizeof(type));
+  std::memcpy(&expected[offsetof(TxnRequest, partition_key)],
+              &partition_key, sizeof(partition_key));
+  std::memcpy(&expected[offsetof(TxnRequest, key_space)], &key_space,
+              sizeof(key_space));
+  std::memcpy(&expected[offsetof(TxnRequest, statements)], &statements,
+              sizeof(statements));
+  EXPECT_EQ(payloads[0], expected);
 }
 
 }  // namespace

@@ -598,6 +598,70 @@ TEST_P(CheckpointRecoveryTest, TruncatedLogWithoutCheckpointIsAnError) {
   EXPECT_FALSE(stats.used_checkpoint);
 }
 
+TEST_P(CheckpointRecoveryTest, LoserInsertIntoIndexlessTableIsUndone) {
+  // An append-only table (TPC-B/TPC-C history) has no primary index,
+  // yet its insert records still carry a key. UNDO of a loser's insert
+  // there must delete the row without touching the missing index.
+  txn::CheckpointPolicy policy;
+  policy.enabled = true;
+  policy.every_n_ticks = 4;
+  EngineOptions opts;
+  opts.checkpoint = policy;
+  TableDef history = SimpleTable(0);
+  history.name = "history";
+  history.needs_ordered_index = false;
+  history.no_primary_index = true;
+  machine_ = std::make_unique<mcsim::MachineSim>(NoTlb());
+  engine_ = CreateEngine(GetParam(), machine_.get(), opts);
+  ASSERT_TRUE(engine_->CreateDatabase({SimpleTable(kRows), history}).ok());
+  for (int64_t i = 0; i < 16; ++i) {
+    UpdateAndTick(1500 + i, 71000 + i);
+  }
+  const txn::CheckpointManager* cm = engine_->checkpoints();
+  ASSERT_NE(cm, nullptr);
+  ASSERT_GE(cm->stats().completed, 1u);
+
+  const storage::Schema schema = storage::TwoLongColumns();
+  TxnRequest req;
+  req.key_space = kRows;
+  ASSERT_TRUE(engine_
+                  ->Execute(0, req,
+                            [&](TxnContext& ctx) {
+                              uint8_t row[16];
+                              schema.SetLong(row, 0, 7);
+                              schema.SetLong(row, 1, 8);
+                              return ctx.Insert(
+                                  1, row, index::Key::FromUint64(7));
+                            })
+                  .ok());
+  // Crash before the commit record: drop it, leaving the insert a loser.
+  std::vector<txn::LogRecord> log = engine_->StableLog();
+  ASSERT_FALSE(log.empty());
+  ASSERT_EQ(log.back().op, txn::LogOp::kCommit);
+  log.pop_back();
+  const txn::LogRecord& insert = log.back();
+  ASSERT_EQ(insert.op, txn::LogOp::kInsert);
+  ASSERT_EQ(insert.table, 1);
+  ASSERT_FALSE(insert.key.empty());
+
+  fresh_machine_ = std::make_unique<mcsim::MachineSim>(NoTlb());
+  auto recovered =
+      CreateEngine(GetParam(), fresh_machine_.get(), EngineOptions());
+  ASSERT_TRUE(
+      recovered->CreateDatabase({SimpleTable(kRows), history}).ok());
+  txn::RecoveryStats stats;
+  const Status s = recovered->Recover(cm->DeviceImage(), log,
+                                      engine_->LogTruncationLsn(), &stats);
+  ASSERT_TRUE(s.ok()) << s.ToString();
+  EXPECT_TRUE(stats.used_checkpoint);
+  EXPECT_GE(stats.undone_records, 1u);
+  for (int64_t i = 0; i < 16; ++i) {
+    bool found = false;
+    EXPECT_EQ(ReadValue(recovered.get(), 1500 + i, &found), 71000 + i);
+    EXPECT_TRUE(found) << i;
+  }
+}
+
 INSTANTIATE_TEST_SUITE_P(
     ReplayableEngines, CheckpointRecoveryTest,
     ::testing::ValuesIn(kReplayable),

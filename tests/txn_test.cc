@@ -1,7 +1,11 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstring>
 #include <vector>
+
+#include "common/rng.h"
+#include "fault/fault_injector.h"
 
 #include "mcsim/machine.h"
 #include "txn/lock_manager.h"
@@ -320,6 +324,208 @@ TEST_F(LogTest, TruncateRecordsPositionEvenWhenLogDrainsEmpty) {
   // the recorded position backwards.
   log.Truncate(last);
   EXPECT_EQ(log.truncation_lsn(), last + 1);
+}
+
+// Differential test of the stable-log device: seeded random sequences
+// of appends (every LogOp; records larger than a device block and than
+// the ring; torn records; CLRs; before-images), force mode, FlushAll,
+// ring wraps and truncation at random LSNs, checked after every step
+// against a plain vector-of-records model of the log.
+class LogModel {
+ public:
+  explicit LogModel(uint32_t ring_bytes) : capacity_(ring_bytes) {}
+
+  void Append(const LogRecord& rec, uint32_t ring_payload,
+              uint32_t ring_key, uint32_t ring_before) {
+    const uint32_t bytes = 32 + ring_payload + ring_key + ring_before;
+    const uint32_t aligned = (bytes + 7) & ~7u;
+    while (aligned + 8 > capacity_) capacity_ *= 2;
+    if (offset_ + aligned + 8 > capacity_) {
+      offset_ = 0;
+      ++flushes_;
+      flushed_ = records_.size();
+    }
+    offset_ += aligned;
+    bytes_logged_ += bytes;
+    records_.push_back(rec);
+    if (force_) flushed_ = records_.size();
+  }
+
+  void FlushAll() {
+    if (flushed_ == records_.size()) return;
+    flushed_ = records_.size();
+    ++flushes_;
+  }
+
+  void Truncate(uint64_t upto_lsn) {
+    size_t drop = 0;
+    while (drop < records_.size() && records_[drop].lsn < upto_lsn) ++drop;
+    records_.erase(records_.begin(),
+                   records_.begin() + static_cast<ptrdiff_t>(drop));
+    truncated_ += drop;
+    flushed_ = flushed_ > drop ? flushed_ - drop : 0;
+    truncation_lsn_ = std::max(truncation_lsn_, upto_lsn);
+  }
+
+  void set_force(bool on) { force_ = on; }
+
+  void ExpectMatches(const LogManager& log) const {
+    EXPECT_EQ(log.records(), records_.size());
+    EXPECT_EQ(log.flushed_records(), flushed_);
+    EXPECT_EQ(log.appended_records(), records_.size() + truncated_);
+    EXPECT_EQ(log.truncated_records(), truncated_);
+    EXPECT_EQ(log.truncation_lsn(), truncation_lsn_);
+    EXPECT_EQ(log.flushes(), flushes_);
+    EXPECT_EQ(log.bytes_logged(), bytes_logged_);
+    EXPECT_EQ(log.capacity(), capacity_);
+    ExpectSame(log.stable_log(), records_.size());
+    ExpectSame(log.flushed_log(), flushed_);
+  }
+
+  const std::vector<LogRecord>& records() const { return records_; }
+
+ private:
+  void ExpectSame(const std::vector<LogRecord>& got, size_t n) const {
+    ASSERT_EQ(got.size(), n);
+    for (size_t i = 0; i < n; ++i) {
+      const LogRecord& a = got[i];
+      const LogRecord& b = records_[i];
+      SCOPED_TRACE(i);
+      EXPECT_EQ(a.lsn, b.lsn);
+      EXPECT_EQ(a.txn_id, b.txn_id);
+      EXPECT_EQ(a.op, b.op);
+      EXPECT_EQ(a.table, b.table);
+      EXPECT_EQ(a.column, b.column);
+      EXPECT_EQ(a.slice, b.slice);
+      EXPECT_EQ(a.row, b.row);
+      EXPECT_EQ(a.torn, b.torn);
+      EXPECT_EQ(a.clr, b.clr);
+      EXPECT_EQ(a.payload, b.payload);
+      EXPECT_EQ(a.key, b.key);
+      EXPECT_EQ(a.before, b.before);
+    }
+  }
+
+  uint32_t capacity_;
+  uint32_t offset_ = 0;
+  uint64_t bytes_logged_ = 0;
+  uint64_t flushes_ = 0;
+  uint64_t flushed_ = 0;
+  uint64_t truncated_ = 0;
+  uint64_t truncation_lsn_ = 0;
+  bool force_ = false;
+  std::vector<LogRecord> records_;
+};
+
+std::vector<uint8_t> RandomBytes(Rng* rng, uint32_t n) {
+  std::vector<uint8_t> v(n);
+  for (uint8_t& b : v) b = static_cast<uint8_t>(rng->Next());
+  return v;
+}
+
+// Mostly small fields, sometimes larger than the 4 KiB ring, rarely
+// larger than a device block.
+uint32_t RandomFieldBytes(Rng* rng) {
+  const uint64_t r = rng->Uniform(1000);
+  if (r < 3) {
+    return LogManager::kDeviceBlockBytes + 1 +
+           static_cast<uint32_t>(rng->Uniform(4096));
+  }
+  if (r < 40) return 4096 + static_cast<uint32_t>(rng->Uniform(8192));
+  if (r < 400) return 0;
+  return static_cast<uint32_t>(rng->Uniform(97));
+}
+
+TEST_F(LogTest, DeviceMatchesVectorModel) {
+  constexpr uint32_t kRing = 4096;
+  constexpr uint64_t kTornSeed = 77;
+  const fault::FaultPointConfig torn{0.05, 0};
+  // What the sequences reached, so they cannot silently go soft.
+  uint64_t block_sized = 0, torn_records = 0, flushes = 0, grown = 0;
+  for (uint64_t seed = 1; seed <= 6; ++seed) {
+    SCOPED_TRACE(seed);
+    Rng rng(seed);
+    LogManager log(kRing);
+    LogModel model(kRing);
+    // Twin injectors: the model asks its own copy, hit for hit.
+    fault::FaultInjector inj(kTornSeed + seed);
+    fault::FaultInjector model_inj(kTornSeed + seed);
+    inj.Arm(fault::kLogTornRecord, torn);
+    model_inj.Arm(fault::kLogTornRecord, torn);
+    log.set_fault_injector(&inj);
+    uint64_t last_lsn = 0;
+    for (int step = 0; step < 400; ++step) {
+      SCOPED_TRACE(step);
+      const uint64_t action = rng.Uniform(100);
+      if (action < 80) {
+        LogRecord rec;
+        rec.op = static_cast<LogOp>(
+            rng.Uniform(static_cast<uint64_t>(LogOp::kCheckpointEnd) + 1));
+        rec.txn_id = rng.Next();
+        rec.table = static_cast<int16_t>(rng.Range(0, 40)) - 1;
+        rec.column = static_cast<int16_t>(rng.Range(0, 20)) - 1;
+        rec.slice = static_cast<int16_t>(rng.Uniform(8));
+        rec.row = rng.Next();
+        rec.clr = rng.Uniform(4) == 0;
+        rec.payload = RandomBytes(&rng, RandomFieldBytes(&rng));
+        rec.key = RandomBytes(&rng, RandomFieldBytes(&rng));
+        rec.before = RandomBytes(&rng, RandomFieldBytes(&rng));
+        // A null pointer with a length: the ring counts the bytes, the
+        // device stores none.
+        const bool null_payload = rng.Uniform(20) == 0;
+        const uint32_t ring_payload =
+            null_payload ? 8 : static_cast<uint32_t>(rec.payload.size());
+        if (null_payload) rec.payload.clear();
+        rec.torn = model_inj.Fires(fault::kLogTornRecord);
+        rec.lsn = log.Append(
+            core_, rec.op, rec.txn_id, rec.table, rec.row, rec.column,
+            null_payload ? nullptr : rec.payload.data(), ring_payload,
+            rec.key.data(), static_cast<uint32_t>(rec.key.size()),
+            rec.slice, rec.before.data(),
+            static_cast<uint32_t>(rec.before.size()), rec.clr);
+        ASSERT_GT(rec.lsn, last_lsn);
+        last_lsn = rec.lsn;
+        if (rec.payload.size() + rec.key.size() + rec.before.size() >
+            LogManager::kDeviceBlockBytes) {
+          ++block_sized;
+        }
+        torn_records += rec.torn ? 1 : 0;
+        model.Append(rec, ring_payload,
+                     static_cast<uint32_t>(rec.key.size()),
+                     static_cast<uint32_t>(rec.before.size()));
+      } else if (action < 85) {
+        log.FlushAll();
+        model.FlushAll();
+      } else if (action < 90) {
+        const bool on = rng.Uniform(2) == 0;
+        log.set_force(on);
+        model.set_force(on);
+      } else {
+        // Truncate below the first record, at a retained record, or
+        // past the end.
+        const auto& recs = model.records();
+        uint64_t upto = 0;
+        const uint64_t kind = rng.Uniform(4);
+        if (kind == 0 || recs.empty()) {
+          upto = last_lsn + 1 + rng.Uniform(3);
+        } else if (kind == 1) {
+          upto = recs.front().lsn - rng.Uniform(2);
+        } else {
+          upto = recs[rng.Uniform(recs.size())].lsn;
+        }
+        log.Truncate(upto);
+        model.Truncate(upto);
+      }
+      model.ExpectMatches(log);
+      if (::testing::Test::HasFailure()) return;
+    }
+    flushes += log.flushes();
+    grown += log.capacity() > kRing ? 1 : 0;
+  }
+  EXPECT_GT(block_sized, 0u);
+  EXPECT_GT(torn_records, 0u);
+  EXPECT_GT(flushes, 0u);
+  EXPECT_GT(grown, 0u);
 }
 
 // ---------------------------------------------------------------------------
