@@ -5,6 +5,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <memory>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -12,6 +13,7 @@
 #include "core/microbench.h"
 #include "core/report.h"
 #include "obs/report_json.h"
+#include "tools/imoltp_cli.h"
 
 namespace imoltp::bench {
 
@@ -59,31 +61,25 @@ inline BenchOptions& Options() {
   return options;
 }
 
-/// Shared figure-binary flag parsing: --mode=M (core::ParseParallelMode
-/// spellings) and --txn-scale=F (scales every warm-up/measurement
-/// window, for quick smoke runs). Unknown flags print usage and exit.
+/// Shared figure-binary flag parsing through the tools' flag table:
+/// --mode=M (core::ParseParallelMode spellings) and --txn-scale=X
+/// (scales every warm-up/measurement window, for quick smoke runs).
+/// --help prints the generated usage and exits 0; an unknown flag or a
+/// malformed value exits 2 before any work.
 inline void ParseBenchArgs(int argc, char** argv) {
-  for (int i = 1; i < argc; ++i) {
-    const std::string arg = argv[i];
-    if (arg.rfind("--mode=", 0) == 0) {
-      if (!core::ParseParallelMode(arg.substr(7), &Options().mode)) {
-        std::fprintf(stderr, "unknown --mode value: %s (choices: %s)\n",
-                     arg.c_str() + 7, core::ParallelModeChoices());
-        std::exit(2);
-      }
-    } else if (arg.rfind("--txn-scale=", 0) == 0) {
-      Options().txn_scale = std::atof(arg.c_str() + 12);
-      if (Options().txn_scale <= 0) {
-        std::fprintf(stderr, "--txn-scale must be positive\n");
-        std::exit(2);
-      }
-    } else {
-      std::fprintf(stderr,
-                   "usage: %s [--mode=M] [--txn-scale=F]\nmodes: %s\n",
-                   argv[0], core::ParallelModeChoices());
-      std::exit(2);
-    }
+  std::string program = argv[0];
+  program.erase(0, program.rfind('/') + 1);
+  std::string mode = core::ParallelModeName(Options().mode);
+  tools::FlagTable t(program);
+  t.Choice("mode", &mode, core::ParallelModeChoices(),
+           "host threading (docs/parallel_execution.md)",
+           tools::kModeAliases);
+  t.Real("txn-scale", &Options().txn_scale,
+         "scales every warm-up and measurement window", false);
+  if (const std::optional<int> code = t.ParseOrExit(argc, argv)) {
+    std::exit(*code);
   }
+  core::ParseParallelMode(mode, &Options().mode);
 }
 
 inline uint64_t ScaleTxns(uint64_t txns) {

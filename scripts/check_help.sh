@@ -1,6 +1,6 @@
 #!/usr/bin/env bash
-# Command-line parity for the tools in tools/. Every tool given on the
-# command line must
+# Command-line parity for the tools in tools/ and the figure binaries
+# in bench/ (fig*). Every tool given on the command line must
 #   - answer --help with its usage and exit 0, and
 #   - refuse a malformed flag value before doing any work: exit 2, an
 #     error that names the flag (and the valid values of a choice
@@ -105,6 +105,16 @@ for tool in "$@"; do
       ;;
     imoltp_timeline)
       refuse "$name" "unknown flag: --txns" "$tool" info t.json --txns=abc
+      ;;
+    fig*)
+      if [[ "$output" != *"choices: serial free"* ]]; then
+        echo "error: $name --help lists no --mode choices" >&2
+        failed=1
+      fi
+      refuse "$name" --txn-scale "$tool" --txn-scale=nan
+      refuse "$name" --txn-scale "$tool" --txn-scale=0.5x
+      refuse "$name" --txn-scale "$tool" --txn-scale=0
+      refuse "$name" "choices: serial free" "$tool" --mode=typo
       ;;
     *)
       echo "error: no malformed-value case for $name" >&2

@@ -1,8 +1,5 @@
 #include "dist/cluster_invariants.h"
 
-#include <cstdarg>
-#include <cstdio>
-
 #include "dist/cluster.h"
 #include "storage/table.h"
 
@@ -11,21 +8,13 @@ namespace imoltp::dist {
 namespace {
 
 using core::TpccBenchmark;
+using fault::Sprintf;
 using storage::Schema;
 
 /// Same audit transaction type the single-node invariants use: the
 /// audit flows through the engine's own Execute path (partition
 /// routing, concurrency control) but measures state, not cycles.
 constexpr int kTxnAudit = 90;
-
-std::string Sprintf(const char* fmt, ...) {
-  char buf[256];
-  va_list ap;
-  va_start(ap, fmt);
-  std::vsnprintf(buf, sizeof(buf), fmt, ap);
-  va_end(ap);
-  return buf;
-}
 
 /// Cluster-wide sums one node contributes (all node-local reads).
 struct NodeSums {

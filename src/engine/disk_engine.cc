@@ -1,6 +1,7 @@
 #include "engine/disk_engine.h"
 
 #include "obs/span.h"
+#include "storage/disk_heap_file.h"
 
 namespace imoltp::engine {
 
@@ -88,7 +89,7 @@ class DiskEngine::Ctx final : public TxnContext {
                          obs::SpanKind::kStorageAccess);
     mcsim::ScopedModule mod(core_, HeapRegion().module);
     e_->Exec(core_, HeapRegion());
-    if (!RowRead(slice, row, out)) return Status::NotFound();
+    if (!slice.rows->ReadRow(core_, row, out)) return Status::NotFound();
     return Status::Ok();
   }
 
@@ -113,7 +114,9 @@ class DiskEngine::Ctx final : public TxnContext {
       // Before-image for undo (steal policy: in-place writes must be
       // reversible on abort).
       std::vector<uint8_t> before(schema.row_bytes());
-      if (!RowRead(slice, row, before.data())) return Status::NotFound();
+      if (!slice.rows->ReadRow(core_, row, before.data())) {
+        return Status::NotFound();
+      }
       EngineBase::UndoEntry u;
       u.kind = EngineBase::UndoEntry::Kind::kColumnImage;
       u.table = table;
@@ -124,7 +127,7 @@ class DiskEngine::Ctx final : public TxnContext {
                      schema.ColumnPtr(before.data(), column) +
                          schema.column_width(column));
       undo.push_back(std::move(u));
-      if (!RowWriteColumn(slice, row, column, value)) {
+      if (!slice.rows->WriteColumn(core_, row, column, value)) {
         return Status::NotFound();
       }
     }
@@ -155,7 +158,7 @@ class DiskEngine::Ctx final : public TxnContext {
                            obs::SpanKind::kStorageAccess);
       mcsim::ScopedModule mod(core_, HeapRegion().module);
       e_->Exec(core_, HeapRegion());
-      rid = RowAppend(slice, row);
+      rid = slice.rows->Append(core_, row);
       if (rid == storage::kInvalidRow) {
         return Status::ResourceExhausted("buffer pool full");
       }
@@ -222,7 +225,9 @@ class DiskEngine::Ctx final : public TxnContext {
       obs::ScopedSpan span(&e_->spans_, core_,
                            obs::SpanKind::kStorageAccess);
       mcsim::ScopedModule mod(core_, HeapRegion().module);
-      if (!RowRead(slice, row, before.data())) return Status::NotFound();
+      if (!slice.rows->ReadRow(core_, row, before.data())) {
+        return Status::NotFound();
+      }
     }
     {
       obs::ScopedSpan span(&e_->spans_, core_,
@@ -240,7 +245,7 @@ class DiskEngine::Ctx final : public TxnContext {
                            obs::SpanKind::kStorageAccess);
       mcsim::ScopedModule mod(core_, HeapRegion().module);
       e_->Exec(core_, HeapRegion());
-      if (!RowDelete(slice, row)) return Status::NotFound();
+      if (!slice.rows->Delete(core_, row)) return Status::NotFound();
     }
     obs::ScopedSpan span(&e_->spans_, core_,
                          obs::SpanKind::kLogAppend);
@@ -306,31 +311,10 @@ class DiskEngine::Ctx final : public TxnContext {
     return LockObject(table, storage::DiskHeapFile::PageNo(row));
   }
 
-  /// Buffer-pool ablation plumbing: the heap access path is either the
+  /// Buffer-pool ablation: the heap access path is either the
   /// slotted-page file behind the pool or a direct in-memory table.
   const mcsim::CodeRegion& HeapRegion() const {
     return e_->options_.use_bufferpool ? e_->heap_bp_ : e_->heap_direct_;
-  }
-  bool RowRead(EngineBase::Slice& slice, storage::RowId row,
-               uint8_t* out) {
-    return slice.disk ? slice.disk->Read(core_, row, out)
-                      : slice.mem->ReadRow(core_, row, out);
-  }
-  bool RowWriteColumn(EngineBase::Slice& slice, storage::RowId row,
-                      uint32_t column, const void* value) {
-    if (slice.disk) {
-      return slice.disk->WriteColumn(core_, row, column, value);
-    }
-    slice.mem->WriteColumn(core_, row, column, value);
-    return true;
-  }
-  storage::RowId RowAppend(EngineBase::Slice& slice, const uint8_t* row) {
-    return slice.disk ? slice.disk->Append(core_, row)
-                      : slice.mem->Append(core_, row);
-  }
-  bool RowDelete(EngineBase::Slice& slice, storage::RowId row) {
-    return slice.disk ? slice.disk->Delete(core_, row)
-                      : slice.mem->Delete(core_, row);
   }
 
   DiskEngine* e_;

@@ -5,6 +5,8 @@
 #include <iterator>
 #include <unordered_set>
 
+#include "storage/disk_heap_file.h"
+
 namespace imoltp::engine {
 
 EngineBase::EngineBase(mcsim::MachineSim* machine,
@@ -99,27 +101,14 @@ Status EngineBase::CreateDatabase(const std::vector<TableDef>& defs) {
         slice.secondaries.push_back(index::CreateIndex(sec_kind, 8));
       }
 
+      // Disk rows get physical RowIds (page << 16 | slot), so they are
+      // appended one by one; memory tables generate theirs in place.
+      storage::DiskHeapFile* file = nullptr;
       if (disk_based()) {
-        slice.disk = std::make_unique<storage::DiskHeapFile>(
-            bufferpool_.get(), next_file_id_++, def.schema);
-        slice.rowid_of.reserve(slice.num_initial_rows);
-        std::vector<uint8_t> buf(def.schema.row_bytes());
-        const storage::RowGenerator gen =
-            def.generator ? def.generator : storage::DefaultRowGenerator;
-        for (uint64_t r = lo; r < hi; ++r) {
-          gen(def.schema, r, def.seed, buf.data());
-          const storage::RowId rid = slice.disk->Append(core, buf.data());
-          if (rid == storage::kInvalidRow) {
-            return Status::ResourceExhausted("buffer pool full");
-          }
-          slice.rowid_of.push_back(rid);
-          if (slice.primary != nullptr) {
-            const Status s =
-                slice.primary->Insert(core, KeyForRow(def, r), rid);
-            if (!s.ok()) return s;
-          }
-          InsertSecondaries(core, rt, slice, buf.data(), rid);
-        }
+        auto heap = std::make_unique<storage::DiskHeapFile>(
+            def.name, bufferpool_.get(), next_file_id_++, def.schema);
+        file = heap.get();
+        slice.rows = std::move(heap);
       } else {
         storage::TableOptions topts;
         topts.generator = def.generator;
@@ -129,23 +118,34 @@ Status EngineBase::CreateDatabase(const std::vector<TableDef>& defs) {
           topts.row_stride = static_cast<uint32_t>(
               def.nominal_bytes / def.initial_rows);
         }
-        slice.mem = storage::CreateTable(def.name, def.schema,
-                                         slice.num_initial_rows, topts);
-        std::vector<uint8_t> buf(def.schema.row_bytes());
-        const storage::RowGenerator gen =
-            def.generator ? def.generator : storage::DefaultRowGenerator;
-        for (uint64_t r = lo; r < hi; ++r) {
-          if (slice.primary != nullptr) {
-            const Status s =
-                slice.primary->Insert(core, KeyForRow(def, r), r - lo);
-            if (!s.ok()) return s;
-          }
-          if (!slice.secondaries.empty()) {
-            gen(def.schema, r, def.seed, buf.data());
-            InsertSecondaries(core, rt, slice, buf.data(), r - lo);
+        slice.rows = storage::CreateTable(def.name, def.schema,
+                                          slice.num_initial_rows, topts);
+      }
+      std::vector<uint8_t> buf(def.schema.row_bytes());
+      const storage::RowGenerator gen =
+          def.generator ? def.generator : storage::DefaultRowGenerator;
+      for (uint64_t r = lo; r < hi; ++r) {
+        storage::RowId rid = r - lo;
+        if (file != nullptr || !slice.secondaries.empty()) {
+          gen(def.schema, r, def.seed, buf.data());
+        }
+        if (file != nullptr) {
+          rid = file->Append(core, buf.data());
+          if (rid == storage::kInvalidRow) {
+            return Status::ResourceExhausted("buffer pool full");
           }
         }
+        if (slice.primary != nullptr) {
+          const Status s =
+              slice.primary->Insert(core, KeyForRow(def, r), rid);
+          if (!s.ok()) return s;
+        }
+        InsertSecondaries(core, rt, slice, buf.data(), rid);
       }
+      // Initial population is regenerable (CreateDatabase rebuilds it
+      // deterministically): checkpoints only carry pages that diverged
+      // from it.
+      if (file != nullptr) file->MarkClean();
     }
     tables_.push_back(std::move(rt));
   }
@@ -154,10 +154,6 @@ Status EngineBase::CreateDatabase(const std::vector<TableDef>& defs) {
     for (TableRt& rt : tables_) {
       for (Slice& slice : rt.slices) {
         slice.journal_mu = std::make_unique<std::mutex>();
-        // Initial population is regenerable (CreateDatabase rebuilds
-        // it deterministically): checkpoints only carry pages that
-        // diverged from it.
-        if (slice.disk != nullptr) slice.disk->MarkClean();
       }
     }
     if (num_slices() == 1) {
@@ -195,75 +191,10 @@ void EngineBase::WarmCaches() {
         if (!slice.primary->Lookup(core, KeyForRow(rt.def, r), &value)) {
           continue;
         }
-        if (slice.mem != nullptr) {
-          slice.mem->ReadRow(core, value, buf.data());
-        } else {
-          slice.disk->Read(core, value, buf.data());
-        }
+        slice.rows->ReadRow(core, value, buf.data());
       }
     }
   }
-}
-
-}  // namespace imoltp::engine
-
-// ---------------------------------------------------------------------------
-// Storage-agnostic row helpers (disk heap file vs in-memory table).
-// ---------------------------------------------------------------------------
-
-namespace imoltp::engine {
-
-bool EngineBase::SliceRead(mcsim::CoreSim* core, Slice& slice,
-                           storage::RowId row, uint8_t* out) {
-  return slice.disk ? slice.disk->Read(core, row, out)
-                    : slice.mem->ReadRow(core, row, out);
-}
-
-bool EngineBase::SliceWriteColumn(mcsim::CoreSim* core, Slice& slice,
-                                  storage::RowId row, uint32_t column,
-                                  const void* value,
-                                  const storage::Schema& schema) {
-  (void)schema;
-  if (slice.disk) {
-    return slice.disk->WriteColumn(core, row, column, value);
-  }
-  slice.mem->WriteColumn(core, row, column, value);
-  return true;
-}
-
-void EngineBase::SliceWriteRow(mcsim::CoreSim* core, Slice& slice,
-                               storage::RowId row, const uint8_t* image,
-                               const storage::Schema& schema) {
-  for (uint32_t c = 0; c < schema.num_columns(); ++c) {
-    SliceWriteColumn(core, slice, row, c, schema.ColumnPtr(image, c),
-                     schema);
-  }
-}
-
-storage::RowId EngineBase::SliceAppend(mcsim::CoreSim* core, Slice& slice,
-                                       const uint8_t* row) {
-  return slice.disk ? slice.disk->Append(core, row)
-                    : slice.mem->Append(core, row);
-}
-
-bool EngineBase::SliceDelete(mcsim::CoreSim* core, Slice& slice,
-                             storage::RowId row) {
-  return slice.disk ? slice.disk->Delete(core, row)
-                    : slice.mem->Delete(core, row);
-}
-
-void EngineBase::SliceRestore(mcsim::CoreSim* core, Slice& slice,
-                              storage::RowId row, const uint8_t* image,
-                              bool present) {
-  if (slice.disk != nullptr) {
-    if (present) {
-      slice.disk->Restore(core, row, image);
-    } else {
-      slice.disk->Delete(core, row);
-    }
-    return;
-  }
-  slice.mem->RestoreRow(core, row, image, present);
 }
 
 void EngineBase::JournalPrimary(Slice& slice, bool insert,
@@ -345,8 +276,7 @@ void EngineBase::ApplyUndo(mcsim::CoreSim* core,
     const int16_t slice16 = static_cast<int16_t>(u.slice);
     switch (u.kind) {
       case UndoEntry::Kind::kColumnImage:
-        SliceWriteColumn(core, slice, u.row, u.column, u.image.data(),
-                         rt.def.schema);
+        slice.rows->WriteColumn(core, u.row, u.column, u.image.data());
         if (clr) {
           log->Append(core, txn::LogOp::kUpdate, txn_id,
                       static_cast<int16_t>(u.table), u.row,
@@ -360,7 +290,7 @@ void EngineBase::ApplyUndo(mcsim::CoreSim* core,
         if (!u.image.empty()) {
           RemoveSecondaries(core, rt, slice, u.image.data());
         }
-        SliceDelete(core, slice, u.row);
+        slice.rows->Delete(core, u.row);
         if (clr) {
           log->Append(core, txn::LogOp::kDelete, txn_id,
                       static_cast<int16_t>(u.table), u.row, -1, nullptr,
@@ -373,7 +303,7 @@ void EngineBase::ApplyUndo(mcsim::CoreSim* core,
       case UndoEntry::Kind::kDeletedRow: {
         // Resurrect the row (possibly at a fresh slot) and re-index it.
         const storage::RowId rid =
-            SliceAppend(core, slice, u.image.data());
+            slice.rows->Append(core, u.image.data());
         if (slice.primary != nullptr) {
           PrimaryInsert(core, slice, u.key, rid);
         }
@@ -442,6 +372,12 @@ std::vector<txn::LogRecord> EngineBase::FlushedLog() const {
   return MergeLogs(logs_, /*flushed_only=*/true);
 }
 
+EngineBase::Slice& EngineBase::SliceAt(TableRt& rt, int16_t slice) {
+  const bool valid =
+      slice >= 0 && slice < static_cast<int16_t>(rt.slices.size());
+  return rt.slices[valid ? slice : 0];
+}
+
 Status EngineBase::RedoPass(const std::vector<txn::LogRecord>& log,
                             txn::RecoveryStats* stats) {
   // A torn record (bad checksum on the device) ends the usable log:
@@ -483,28 +419,22 @@ Status EngineBase::RedoPass(const std::vector<txn::LogRecord>& log,
     }
     if (stats != nullptr) ++stats->replayed_records;
     TableRt& rt = tables_[rec.table];
-    const int slice_idx =
-        rec.slice >= 0 &&
-                rec.slice < static_cast<int16_t>(rt.slices.size())
-            ? rec.slice
-            : 0;
-    Slice& slice = rt.slices[slice_idx];
+    Slice& slice = SliceAt(rt, rec.slice);
     switch (rec.op) {
       case txn::LogOp::kUpdate:
         if (rec.column >= 0) {
-          SliceWriteColumn(core, slice, rec.row, rec.column,
-                           rec.payload.data(), rt.def.schema);
+          slice.rows->WriteColumn(core, rec.row, rec.column,
+                                  rec.payload.data());
         } else {
-          SliceWriteRow(core, slice, rec.row, rec.payload.data(),
-                        rt.def.schema);
+          slice.rows->WriteRow(core, rec.row, rec.payload.data());
         }
         break;
       case txn::LogOp::kInsert: {
         // Placement replay: the record's RowId is the physical position
         // the live run assigned; later records reference it, so the
         // replayed row must land exactly there.
-        SliceRestore(core, slice, rec.row, rec.payload.data(),
-                     /*present=*/true);
+        slice.rows->RestoreRow(core, rec.row, rec.payload.data(),
+                               /*present=*/true);
         if (slice.primary != nullptr && !rec.key.empty()) {
           const index::Key k = index::Key::FromBytes(
               rec.key.data(), static_cast<uint32_t>(rec.key.size()));
@@ -527,7 +457,7 @@ Status EngineBase::RedoPass(const std::vector<txn::LogRecord>& log,
             RemoveSecondaries(core, rt, slice, rec.before.data());
           } else {
             std::vector<uint8_t> image(rt.def.schema.row_bytes());
-            if (SliceRead(core, slice, rec.row, image.data())) {
+            if (slice.rows->ReadRow(core, rec.row, image.data())) {
               RemoveSecondaries(core, rt, slice, image.data());
             }
           }
@@ -539,7 +469,7 @@ Status EngineBase::RedoPass(const std::vector<txn::LogRecord>& log,
             JournalPrimary(slice, /*insert=*/false, k, 0);
           }
         }
-        SliceDelete(core, slice, rec.row);
+        slice.rows->Delete(core, rec.row);
         break;
       }
       default:

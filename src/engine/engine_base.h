@@ -9,7 +9,6 @@
 #include "engine/engine.h"
 #include "engine/profiles.h"
 #include "storage/buffer_pool.h"
-#include "storage/disk_heap_file.h"
 #include "txn/checkpoint.h"
 #include "txn/log_manager.h"
 
@@ -41,17 +40,14 @@ class EngineBase : public Engine {
   uint64_t AppendedLogRecords() const override;
 
  protected:
-  /// One partition's share of one table. In-memory engines fill `mem`;
-  /// disk engines fill `disk` (always a single slice).
+  /// One partition's share of one table. `rows` is a DiskHeapFile for
+  /// the disk-based engines (always a single slice), else a memory table.
   struct Slice {
-    std::unique_ptr<storage::Table> mem;
-    std::unique_ptr<storage::DiskHeapFile> disk;
+    std::unique_ptr<storage::Table> rows;
     std::unique_ptr<index::Index> primary;
     std::vector<std::unique_ptr<index::Index>> secondaries;
     uint64_t first_global_row = 0;
     uint64_t num_initial_rows = 0;
-    /// Disk engines: initial global row r → heap RowId.
-    std::vector<storage::RowId> rowid_of;
     /// Post-population index mutations (checkpoint key journal;
     /// indexes expose no key iteration, so checkpoints carry this to
     /// rebuild keys whose inserts were truncated out of the log).
@@ -100,28 +96,6 @@ class EngineBase : public Engine {
   /// Per-engine default index kind.
   virtual index::IndexKind default_index_kind(
       const TableDef& def) const = 0;
-
-  /// Storage-agnostic row operations on a slice (disk heap or memory
-  /// table), used by recovery replay and the engines' undo paths.
-  bool SliceRead(mcsim::CoreSim* core, Slice& slice, storage::RowId row,
-                 uint8_t* out);
-  bool SliceWriteColumn(mcsim::CoreSim* core, Slice& slice,
-                        storage::RowId row, uint32_t column,
-                        const void* value, const storage::Schema& schema);
-  void SliceWriteRow(mcsim::CoreSim* core, Slice& slice,
-                     storage::RowId row, const uint8_t* image,
-                     const storage::Schema& schema);
-  storage::RowId SliceAppend(mcsim::CoreSim* core, Slice& slice,
-                             const uint8_t* row);
-  bool SliceDelete(mcsim::CoreSim* core, Slice& slice,
-                   storage::RowId row);
-  /// Recovery placement: puts `image` at exactly `row` (RowIds in log
-  /// records and checkpoint pages are physical positions; replayed rows
-  /// must land where the live run put them). `present == false`
-  /// restores the row as deleted/absent.
-  void SliceRestore(mcsim::CoreSim* core, Slice& slice,
-                    storage::RowId row, const uint8_t* image,
-                    bool present);
 
   /// Per-transaction undo record (before-images / structural inverses)
   /// for engines that modify state in place before commit.
@@ -212,12 +186,16 @@ class EngineBase : public Engine {
   /// Capture up to policy.pages_per_step pages of the fuzzy capture
   /// plan (non-partitioned engines, worker 0 ticks).
   void CaptureStep(mcsim::CoreSim* core, txn::CheckpointImage* pending);
-  void CaptureSliceMeta(mcsim::CoreSim* core, int table, int slice_idx,
+  void CaptureSliceMeta(int table, int slice_idx,
                         txn::CheckpointSliceImage* out);
   txn::CheckpointPage CapturePage(mcsim::CoreSim* core, int table,
                                   int slice_idx, uint64_t page_no);
   void BeginCheckpoint(int worker);
   void FinishCheckpoint(int worker);
+
+  /// The slice a log record or checkpoint page names; an out-of-range
+  /// index falls back to slice 0.
+  static Slice& SliceAt(TableRt& rt, int16_t slice);
 
   /// Restores one captured page onto the (freshly created) database.
   void RestorePage(mcsim::CoreSim* core, const txn::CheckpointPage& page,

@@ -71,7 +71,7 @@ class MvccEngine::Ctx final : public TxnContext {
                   e_->tables_[table].def.schema.row_bytes());
       return Status::Ok();
     }
-    if (!slice.mem->ReadRow(core_, row, out)) return Status::NotFound();
+    if (!slice.rows->ReadRow(core_, row, out)) return Status::NotFound();
     return Status::Ok();
   }
 
@@ -100,7 +100,7 @@ class MvccEngine::Ctx final : public TxnContext {
                                  static_cast<uint64_t>(table), row,
                                  &own)) {
         std::memcpy(prior.data(), own.data(), prior.size());
-      } else if (!slice.mem->ReadRow(core_, row, prior.data())) {
+      } else if (!slice.rows->ReadRow(core_, row, prior.data())) {
         return Status::NotFound();
       }
       next = prior;
@@ -133,7 +133,7 @@ class MvccEngine::Ctx final : public TxnContext {
       obs::ScopedSpan span(&e_->spans_, core_,
                            obs::SpanKind::kStorageAccess);
       e_->Exec(core_, e_->storage_op_);
-      rid = slice.mem->Append(core_, row);
+      rid = slice.rows->Append(core_, row);
     }
     {
       obs::ScopedSpan span(&e_->spans_, core_,
@@ -174,7 +174,7 @@ class MvccEngine::Ctx final : public TxnContext {
                            obs::SpanKind::kStorageAccess);
       e_->Exec(core_, e_->storage_op_);
       e_->Exec(core_, e_->mvcc_op_);
-      if (!slice.mem->ReadRow(core_, row, before.data())) {
+      if (!slice.rows->ReadRow(core_, row, before.data())) {
         return Status::NotFound();
       }
     }
@@ -190,7 +190,7 @@ class MvccEngine::Ctx final : public TxnContext {
     {
       obs::ScopedSpan span(&e_->spans_, core_,
                            obs::SpanKind::kStorageAccess);
-      if (!slice.mem->Delete(core_, row)) return Status::NotFound();
+      if (!slice.rows->Delete(core_, row)) return Status::NotFound();
     }
     obs::ScopedSpan span(&e_->spans_, core_,
                          obs::SpanKind::kLogAppend);
@@ -301,13 +301,9 @@ Status MvccEngine::Execute(int worker, const TxnRequest& request,
     return s;
   }
   for (const auto& w : installs) {
-    auto& rt = tables_[w.table_id];
-    auto& slice = rt.slices[0];
     // Install the committed image as the table's current version.
-    for (uint32_t c = 0; c < rt.def.schema.num_columns(); ++c) {
-      slice.mem->WriteColumn(core, w.row, c,
-                             rt.def.schema.ColumnPtr(w.data.data(), c));
-    }
+    tables_[w.table_id].slices[0].rows->WriteRow(core, w.row,
+                                                 w.data.data());
   }
   if (!installs.empty() || !ctx.undo.empty()) {
     // Staged updates or in-place inserts/deletes: a commit record makes

@@ -112,7 +112,7 @@ class PartitionedEngine::Ctx final : public TxnContext {
     mcsim::ScopedModule mod(core_, op_module_);
     OpCode(table);
     auto& slice = e_->tables_[table].slices[slice_];
-    if (!slice.mem->ReadRow(core_, row, out)) return Status::NotFound();
+    if (!slice.rows->ReadRow(core_, row, out)) return Status::NotFound();
     return Status::Ok();
   }
 
@@ -127,7 +127,7 @@ class PartitionedEngine::Ctx final : public TxnContext {
       OpCode(table);
       // Before-image for rollback of failed procedures.
       std::vector<uint8_t> before(rt.def.schema.row_bytes());
-      if (!slice.mem->ReadRow(core_, row, before.data())) {
+      if (!slice.rows->ReadRow(core_, row, before.data())) {
         return Status::NotFound();
       }
       EngineBase::UndoEntry u;
@@ -140,7 +140,7 @@ class PartitionedEngine::Ctx final : public TxnContext {
                      rt.def.schema.ColumnPtr(before.data(), column) +
                          rt.def.schema.column_width(column));
       undo.push_back(std::move(u));
-      slice.mem->WriteColumn(core_, row, column, value);
+      slice.rows->WriteColumn(core_, row, column, value);
     }
     // VoltDB command logging logs per transaction, not per update;
     // HyPer writes a redo record per update.
@@ -173,7 +173,7 @@ class PartitionedEngine::Ctx final : public TxnContext {
       obs::ScopedSpan span(&e_->spans_, core_,
                            obs::SpanKind::kStorageAccess);
       OpCode(table);
-      rid = slice.mem->Append(core_, row);
+      rid = slice.rows->Append(core_, row);
     }
     {
       obs::ScopedSpan span(&e_->spans_, core_,
@@ -218,7 +218,7 @@ class PartitionedEngine::Ctx final : public TxnContext {
       obs::ScopedSpan span(&e_->spans_, core_,
                            obs::SpanKind::kStorageAccess);
       OpCode(table);
-      if (!slice.mem->ReadRow(core_, row, before.data())) {
+      if (!slice.rows->ReadRow(core_, row, before.data())) {
         return Status::NotFound();
       }
     }
@@ -234,7 +234,7 @@ class PartitionedEngine::Ctx final : public TxnContext {
     {
       obs::ScopedSpan span(&e_->spans_, core_,
                            obs::SpanKind::kStorageAccess);
-      if (!slice.mem->Delete(core_, row)) return Status::NotFound();
+      if (!slice.rows->Delete(core_, row)) return Status::NotFound();
     }
     if (e_->compiled_) {
       obs::ScopedSpan span(&e_->spans_, core_,

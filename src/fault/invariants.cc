@@ -4,6 +4,7 @@
 #include <cstdio>
 #include <vector>
 
+#include "obs/json.h"
 #include "storage/table.h"
 
 namespace imoltp::fault {
@@ -19,15 +20,6 @@ using storage::Schema;
 /// its own (tiny) code footprint.
 constexpr int kTxnAudit = 90;
 
-std::string Sprintf(const char* fmt, ...) {
-  char buf[256];
-  va_list ap;
-  va_start(ap, fmt);
-  std::vsnprintf(buf, sizeof(buf), fmt, ap);
-  va_end(ap);
-  return buf;
-}
-
 /// Regenerates the initial balance (column 1) of row `row` exactly as
 /// the bulk load produced it: TPC-B's tables use the default generator.
 int64_t InitialBalance(const Schema& schema, uint64_t row, uint64_t seed) {
@@ -38,6 +30,29 @@ int64_t InitialBalance(const Schema& schema, uint64_t row, uint64_t seed) {
 }
 
 }  // namespace
+
+void InvariantsToJson(obs::JsonWriter& w, const InvariantReport& rep) {
+  w.BeginObject();
+  w.KeyValue("ok", rep.ok);
+  w.Key("violations");
+  w.BeginArray();
+  for (const std::string& v : rep.violations) w.Value(v);
+  w.EndArray();
+  w.Key("checksums");
+  w.BeginArray();
+  for (int64_t v : rep.checksums) w.Value(v);
+  w.EndArray();
+  w.EndObject();
+}
+
+std::string Sprintf(const char* fmt, ...) {
+  char buf[256];
+  va_list ap;
+  va_start(ap, fmt);
+  std::vsnprintf(buf, sizeof(buf), fmt, ap);
+  va_end(ap);
+  return buf;
+}
 
 InvariantReport CheckTpcbInvariants(engine::Engine* engine,
                                     const core::TpcbBenchmark& bench,

@@ -9,6 +9,10 @@
 #include "core/tpcc.h"
 #include "engine/engine.h"
 
+namespace imoltp::obs {
+class JsonWriter;
+}  // namespace imoltp::obs
+
 namespace imoltp::fault {
 
 /// Result of one workload-level consistency audit. The audit runs as
@@ -26,6 +30,14 @@ struct InvariantReport {
     violations.push_back(std::move(what));
   }
 };
+
+/// Writes `rep` as one JSON object: {"ok", "violations", "checksums"}.
+void InvariantsToJson(obs::JsonWriter& w, const InvariantReport& rep);
+
+/// printf into a std::string (audit violation messages; at most 255
+/// characters).
+std::string Sprintf(const char* fmt, ...)
+    __attribute__((format(printf, 1, 2)));
 
 /// TPC-B money conservation. Every AccountUpdate adds the same delta to
 /// one branch, one teller of that branch, and one account of that

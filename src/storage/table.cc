@@ -25,6 +25,15 @@ uint64_t Mix(uint64_t x) {
 
 }  // namespace
 
+std::vector<RowId> Table::CheckpointPageRows(mcsim::CoreSim*,
+                                             uint64_t page_no) {
+  const uint64_t lo = page_no * kRowsPerCheckpointPage;
+  const uint64_t hi = std::min(lo + kRowsPerCheckpointPage, num_rows());
+  std::vector<RowId> rows;
+  for (RowId r = lo; r < hi; ++r) rows.push_back(r);
+  return rows;
+}
+
 void DefaultRowGenerator(const Schema& schema, RowId row, uint64_t seed,
                          uint8_t* out) {
   for (uint32_t c = 0; c < schema.num_columns(); ++c) {
@@ -100,15 +109,16 @@ class HeapTable final : public Table {
     return true;
   }
 
-  void WriteColumn(mcsim::CoreSim* core, RowId row, uint32_t col,
+  bool WriteColumn(mcsim::CoreSim* core, RowId row, uint32_t col,
                    const void* value) override {
     std::unique_lock<std::shared_mutex> lock(mu_);
-    if (row >= num_rows() || deleted_[row]) return;
+    if (row >= num_rows() || deleted_[row]) return false;
     uint8_t* slot = SlotPtr(row);
     uint8_t* dst = schema_.ColumnPtr(slot, col);
     core->Write(reinterpret_cast<uint64_t>(dst), schema_.column_width(col));
     std::memcpy(dst, value, schema_.column_width(col));
     dirty_.insert(CheckpointPageOf(row));
+    return true;
   }
 
   RowId Append(mcsim::CoreSim* core, const uint8_t* row) override {
@@ -229,16 +239,17 @@ class SparseTable final : public Table {
     return true;
   }
 
-  void WriteColumn(mcsim::CoreSim* core, RowId row, uint32_t col,
+  bool WriteColumn(mcsim::CoreSim* core, RowId row, uint32_t col,
                    const void* value) override {
-    if (row >= num_rows()) return;
+    if (row >= num_rows()) return false;
     core->Write(RowAddress(row) + schema_.column_offset(col),
                 schema_.column_width(col));
     std::unique_lock<std::shared_mutex> lock(mu_);
     OverlayRow& o = Materialize(row);
-    if (o.deleted) return;
+    if (o.deleted) return false;
     std::memcpy(o.bytes.data() + schema_.column_offset(col), value,
                 schema_.column_width(col));
+    return true;
   }
 
   RowId Append(mcsim::CoreSim* core, const uint8_t* row) override {

@@ -15,17 +15,21 @@ namespace imoltp::storage {
 using RowId = uint64_t;
 inline constexpr RowId kInvalidRow = UINT64_MAX;
 
-/// Row storage. Two implementations:
+/// Row storage: the one interface every engine reaches its rows through.
+/// Three implementations, chosen per engine when the database is
+/// created:
 ///
 ///   - HeapTable: rows materialized in real memory (segmented arena).
 ///     Used whenever the configured footprint is feasible to allocate.
 ///   - SparseTable: rows spread over a *nominal* address space with
 ///     deterministic value generation and a write overlay; used for the
 ///     paper's 10GB/100GB configurations (see DESIGN.md, Substitutions).
+///   - DiskHeapFile (storage/disk_heap_file.h): slotted pages behind a
+///     BufferPool, the disk-based archetypes' row storage.
 ///
 /// Every accessor takes the worker's CoreSim so the touched cache lines
 /// flow through the simulated hierarchy. Tables are engine-neutral; the
-/// engines add their own access-path overheads (buffer pool, versioning)
+/// engines add their own access-path overheads (versioning, locking)
 /// on top.
 class Table {
  public:
@@ -34,6 +38,8 @@ class Table {
   const Schema& schema() const { return schema_; }
   const std::string& name() const { return name_; }
 
+  /// Memory tables: the size of the RowId space, deleted rows included.
+  /// Heap file: live rows.
   virtual uint64_t num_rows() const = 0;
 
   /// Address of the row in the (possibly nominal) data address space.
@@ -43,11 +49,21 @@ class Table {
   /// traces the read. Returns false for a deleted/absent row.
   virtual bool ReadRow(mcsim::CoreSim* core, RowId row, uint8_t* out) = 0;
 
-  /// Overwrites one column in place and traces the write.
-  virtual void WriteColumn(mcsim::CoreSim* core, RowId row, uint32_t col,
+  /// Overwrites one column in place and traces the write. Returns false
+  /// for a deleted/absent row.
+  virtual bool WriteColumn(mcsim::CoreSim* core, RowId row, uint32_t col,
                            const void* value) = 0;
 
-  /// Appends a row; returns its RowId. Traces the write.
+  /// Overwrites every column of `row` from the full row `image`, one
+  /// WriteColumn per column (whole-row REDO and UNDO).
+  void WriteRow(mcsim::CoreSim* core, RowId row, const uint8_t* image) {
+    for (uint32_t c = 0; c < schema_.num_columns(); ++c) {
+      WriteColumn(core, row, c, schema_.ColumnPtr(image, c));
+    }
+  }
+
+  /// Appends a row; returns its RowId (kInvalidRow if there is no room).
+  /// Traces the write.
   virtual RowId Append(mcsim::CoreSim* core, const uint8_t* row) = 0;
 
   /// Marks a row deleted. Returns false if it was absent already.
@@ -63,17 +79,24 @@ class Table {
     return row / kRowsPerCheckpointPage;
   }
 
-  /// Sorted logical pages mutated since creation (initial population is
-  /// clean — recovery regenerates it deterministically, so a fuzzy
+  /// Sorted checkpoint pages mutated since creation (initial population
+  /// is clean — recovery regenerates it deterministically, so a fuzzy
   /// checkpoint only needs the pages that diverged). Never reset:
   /// checkpoints are self-contained.
   virtual std::vector<uint64_t> DirtyPages() const = 0;
 
-  /// Places a row image at exactly `row` during recovery, growing the
-  /// rid space if needed; `present == false` restores the row as
-  /// deleted. Rows allocated only to bridge a rid gap stay absent until
-  /// explicitly restored, so lost-tail inserts never resurface as
-  /// garbage.
+  /// The RowIds a checkpoint captures for page `page_no`, in order.
+  /// Memory tables: the page's kRowsPerCheckpointPage-row group, clipped
+  /// to the RowId space (no simulated access).
+  virtual std::vector<RowId> CheckpointPageRows(mcsim::CoreSim* core,
+                                                uint64_t page_no);
+
+  /// Places a row image at exactly `row` during recovery (RowIds in log
+  /// records and checkpoint pages are the positions the live run
+  /// assigned); `present == false` restores the row as deleted. Memory
+  /// tables grow the rid space if needed; rows allocated only to bridge
+  /// a rid gap stay absent until explicitly restored, so lost-tail
+  /// inserts never resurface as garbage.
   virtual void RestoreRow(mcsim::CoreSim* core, RowId row,
                           const uint8_t* image, bool present) = 0;
 

@@ -57,7 +57,6 @@ struct CheckpointPage {
 struct CheckpointSliceImage {
   int16_t table = 0;
   int16_t slice = 0;
-  uint64_t num_rows = 0;  // rid-space size at capture time
   std::vector<CheckpointJournalEntry> journal;  // prefix at capture
   std::vector<CheckpointPage> pages;
 };

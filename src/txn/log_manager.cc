@@ -42,7 +42,11 @@ uint64_t LogManager::Append(mcsim::CoreSim* core, LogOp op,
   // Durable side (the simulated log device). A null pointer stores no
   // bytes whatever its length.
   DeviceHeader h{};
-  if (fault_ != nullptr && fault_->Fires(fault::kLogTornRecord)) {
+  // A torn write is the device's tail: it crashes the run (the process
+  // halts after this transaction), so nothing logged after it can reach
+  // a checkpoint page that recovery, stopping at the torn record, would
+  // then fail to redo or undo.
+  if (fault_ != nullptr && fault_->FireCrash(fault::kLogTornRecord)) {
     h.flags |= DeviceHeader::kTorn;
   }
   if (clr) h.flags |= DeviceHeader::kClr;

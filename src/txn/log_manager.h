@@ -145,7 +145,8 @@ class LogManager {
   void set_force(bool on) { force_ = on; }
 
   /// Attaches a fault injector; null detaches. When armed, the
-  /// `log.torn_record` point marks appended records as torn.
+  /// `log.torn_record` point marks an appended record as torn and, being
+  /// crash-class, latches a crash: the torn record is the device's tail.
   void set_fault_injector(fault::FaultInjector* injector) {
     fault_ = injector;
   }

@@ -95,6 +95,31 @@ INSTANTIATE_TEST_SUITE_P(
       return n;
     });
 
+TEST(ChaosTornRecordTest, CheckpointedRecoveryHoldsInvariants) {
+  // A torn log record is the device's tail: the run crashes there. Were
+  // it to run on, a fuzzy checkpoint could capture effects of
+  // transactions logged after the torn record, which recovery (stopping
+  // at it) would neither redo nor undo. Physical-log engines only:
+  // VoltDB logs commands.
+  for (EngineKind kind : {EngineKind::kShoreMt, EngineKind::kDbmsD,
+                          EngineKind::kHyPer, EngineKind::kDbmsM}) {
+    SCOPED_TRACE(engine::EngineKindName(kind));
+    ChaosOptions opt = FastOptions(kind, "tpcb");
+    opt.cycles = 2;
+    opt.checkpoint.enabled = true;
+    opt.checkpoint.every_n_ticks = 16;
+    opt.points.push_back({kLogTornRecord, {0.02, 0}});
+    const auto result = RunChaos(opt);
+    ASSERT_TRUE(result.ok()) << result.status().ToString();
+    EXPECT_TRUE(result->ok);
+    for (const ChaosCycleResult& c : result->cycles) {
+      EXPECT_EQ(c.crash_point, kLogTornRecord) << "cycle " << c.cycle;
+      EXPECT_TRUE(c.recovered.ok)
+          << "cycle " << c.cycle << ":\n" << Violations(c.recovered);
+    }
+  }
+}
+
 TEST(ChaosDeterminismTest, SameSeedSameFingerprint) {
   // The acceptance bar: two campaigns with identical options in
   // kSerial mode match bit for bit — same crash schedule, same

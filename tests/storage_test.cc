@@ -1,7 +1,9 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstring>
 #include <map>
+#include <optional>
 #include <vector>
 
 #include "common/rng.h"
@@ -224,7 +226,7 @@ class DiskHeapFileTest : public ::testing::Test {
       : machine_(NoTlb()),
         core_(&machine_.core(0)),
         pool_(256, 8192),
-        file_(&pool_, 1, TwoLongColumns()) {}
+        file_("t", &pool_, 1, TwoLongColumns()) {}
 
   std::vector<uint8_t> Row(int64_t key, int64_t value) {
     std::vector<uint8_t> row(file_.schema().row_bytes());
@@ -243,7 +245,7 @@ TEST_F(DiskHeapFileTest, AppendReadRoundTrip) {
   const RowId rid = file_.Append(core_, Row(7, 49).data());
   ASSERT_NE(rid, kInvalidRow);
   std::vector<uint8_t> out(16);
-  ASSERT_TRUE(file_.Read(core_, rid, out.data()));
+  ASSERT_TRUE(file_.ReadRow(core_, rid, out.data()));
   EXPECT_EQ(file_.schema().GetLong(out.data(), 0), 7);
   EXPECT_EQ(file_.schema().GetLong(out.data(), 1), 49);
 }
@@ -256,7 +258,7 @@ TEST_F(DiskHeapFileTest, RowsSpanMultiplePages) {
   EXPECT_GT(DiskHeapFile::PageNo(rids.back()), 0u);
   std::vector<uint8_t> out(16);
   for (int64_t i = 0; i < 2000; ++i) {
-    ASSERT_TRUE(file_.Read(core_, rids[i], out.data()));
+    ASSERT_TRUE(file_.ReadRow(core_, rids[i], out.data()));
     ASSERT_EQ(file_.schema().GetLong(out.data(), 0), i);
   }
 }
@@ -266,7 +268,7 @@ TEST_F(DiskHeapFileTest, WriteColumnInPlace) {
   const int64_t v = 999;
   ASSERT_TRUE(file_.WriteColumn(core_, rid, 1, &v));
   std::vector<uint8_t> out(16);
-  ASSERT_TRUE(file_.Read(core_, rid, out.data()));
+  ASSERT_TRUE(file_.ReadRow(core_, rid, out.data()));
   EXPECT_EQ(file_.schema().GetLong(out.data(), 1), 999);
   EXPECT_EQ(file_.schema().GetLong(out.data(), 0), 1);  // untouched
 }
@@ -275,7 +277,7 @@ TEST_F(DiskHeapFileTest, DeleteThenReadFails) {
   const RowId rid = file_.Append(core_, Row(1, 2).data());
   ASSERT_TRUE(file_.Delete(core_, rid));
   std::vector<uint8_t> out(16);
-  EXPECT_FALSE(file_.Read(core_, rid, out.data()));
+  EXPECT_FALSE(file_.ReadRow(core_, rid, out.data()));
   EXPECT_FALSE(file_.Delete(core_, rid));
   EXPECT_EQ(file_.num_rows(), 0u);
 }
@@ -380,6 +382,145 @@ INSTANTIATE_TEST_SUITE_P(HeapAndSparse, TableModeTest,
                          ::testing::Values(false, true),
                          [](const ::testing::TestParamInfo<bool>& info) {
                            return info.param ? "Sparse" : "Heap";
+                         });
+
+// ---------------------------------------------------------------------------
+// Row-store interface: the three Table implementations the engines reach
+// through one `rows` member (heap and sparse memory tables, and the disk
+// heap file over a small buffer pool).
+// ---------------------------------------------------------------------------
+
+enum class Store { kHeap, kSparse, kDisk };
+
+class RowStoreTest : public ::testing::TestWithParam<Store> {
+ protected:
+  RowStoreTest()
+      : machine_(NoTlb()), core_(&machine_.core(0)), pool_(16, 8192) {}
+
+  /// A table holding `n` generated rows, populated as CreateDatabase
+  /// populates each store: memory tables generate the rows in place, the
+  /// heap file has them appended and then starts clean. ids_[i] is
+  /// generated row i's RowId.
+  std::unique_ptr<Table> Make(uint64_t n) {
+    ids_.clear();
+    if (GetParam() == Store::kDisk) {
+      auto file =
+          std::make_unique<DiskHeapFile>("t", &pool_, 1, TwoLongColumns());
+      std::vector<uint8_t> row(file->schema().row_bytes());
+      for (uint64_t i = 0; i < n; ++i) {
+        DefaultRowGenerator(file->schema(), i, 0x1234, row.data());
+        ids_.push_back(file->Append(core_, row.data()));
+      }
+      file->MarkClean();
+      return file;
+    }
+    TableOptions opts;
+    opts.row_stride = 64;
+    if (GetParam() == Store::kSparse) opts.max_resident_bytes = 1;
+    for (uint64_t i = 0; i < n; ++i) ids_.push_back(i);
+    return CreateTable("t", TwoLongColumns(), n, opts);
+  }
+
+  static std::vector<uint8_t> Row(const Table& t, int64_t key,
+                                  int64_t value) {
+    std::vector<uint8_t> row(t.schema().row_bytes());
+    t.schema().SetLong(row.data(), 0, key);
+    t.schema().SetLong(row.data(), 1, value);
+    return row;
+  }
+
+  /// Column `col` of `row`, or nullopt when the row reads as absent.
+  std::optional<int64_t> Column(Table& t, RowId row, uint32_t col) {
+    std::vector<uint8_t> out(t.schema().row_bytes());
+    if (!t.ReadRow(core_, row, out.data())) return std::nullopt;
+    return t.schema().GetLong(out.data(), col);
+  }
+
+  mcsim::MachineSim machine_;
+  mcsim::CoreSim* core_;
+  BufferPool pool_;
+  std::vector<RowId> ids_;
+};
+
+TEST_P(RowStoreTest, AppendThenReadRowRoundTrips) {
+  auto t = Make(8);
+  EXPECT_EQ(Column(*t, ids_[3], 0), 3);  // generated row, key == id
+  const RowId rid = t->Append(core_, Row(*t, 777, 888).data());
+  ASSERT_NE(rid, kInvalidRow);
+  EXPECT_EQ(std::count(ids_.begin(), ids_.end(), rid), 0);
+  EXPECT_EQ(Column(*t, rid, 0), 777);
+  EXPECT_EQ(Column(*t, rid, 1), 888);
+}
+
+TEST_P(RowStoreTest, WriteColumnPersistsAndRefusesAbsentRows) {
+  auto t = Make(8);
+  const int64_t v = -42;
+  EXPECT_TRUE(t->WriteColumn(core_, ids_[5], 1, &v));
+  EXPECT_EQ(Column(*t, ids_[5], 1), -42);
+  EXPECT_EQ(Column(*t, ids_[5], 0), 5);  // other columns untouched
+  ASSERT_TRUE(t->Delete(core_, ids_[6]));
+  EXPECT_FALSE(t->WriteColumn(core_, ids_[6], 1, &v));
+  EXPECT_EQ(Column(*t, ids_[6], 1), std::nullopt);
+}
+
+TEST_P(RowStoreTest, DeleteHidesRowAndSecondDeleteFails) {
+  auto t = Make(8);
+  ASSERT_TRUE(t->Delete(core_, ids_[3]));
+  EXPECT_EQ(Column(*t, ids_[3], 0), std::nullopt);
+  EXPECT_FALSE(t->Delete(core_, ids_[3]));
+  EXPECT_EQ(Column(*t, ids_[4], 0), 4);
+}
+
+TEST_P(RowStoreTest, RestoreRowLandsAtTheExactRowId) {
+  auto t = Make(8);
+  const std::vector<uint8_t> image = Row(*t, 555, 1);
+  // Over a live row, over a deleted one, and as absent.
+  t->RestoreRow(core_, ids_[2], image.data(), /*present=*/true);
+  EXPECT_EQ(Column(*t, ids_[2], 0), 555);
+  ASSERT_TRUE(t->Delete(core_, ids_[4]));
+  t->RestoreRow(core_, ids_[4], image.data(), /*present=*/true);
+  EXPECT_EQ(Column(*t, ids_[4], 0), 555);
+  t->RestoreRow(core_, ids_[5], image.data(), /*present=*/false);
+  EXPECT_EQ(Column(*t, ids_[5], 0), std::nullopt);
+  EXPECT_EQ(Column(*t, ids_[6], 0), 6);
+  // Past the end (memory: beyond the rid space; heap file: a slot of a
+  // page never written): the row lands there, the gap stays absent.
+  const RowId past = GetParam() == Store::kDisk
+                         ? ((DiskHeapFile::PageNo(ids_.back()) + 2) << 16) | 3
+                         : ids_.back() + 3;
+  t->RestoreRow(core_, past, image.data(), /*present=*/true);
+  EXPECT_EQ(Column(*t, past, 1), 1);
+  EXPECT_EQ(Column(*t, past - 1, 0), std::nullopt);
+}
+
+TEST_P(RowStoreTest, DirtyPagesListTheRowsACheckpointCaptures) {
+  auto t = Make(8);
+  EXPECT_TRUE(t->DirtyPages().empty());  // population starts clean
+  const int64_t v = 9;
+  ASSERT_TRUE(t->WriteColumn(core_, ids_[5], 1, &v));
+  const std::vector<uint64_t> pages = t->DirtyPages();
+  ASSERT_EQ(pages.size(), 1u);
+  // All eight rows share the one page. Only the heap file reads its page
+  // (the slot directory) to list them.
+  const uint64_t before = core_->counters().data_accesses;
+  EXPECT_EQ(t->CheckpointPageRows(core_, pages[0]), ids_);
+  EXPECT_EQ(core_->counters().data_accesses > before,
+            GetParam() == Store::kDisk);
+}
+
+INSTANTIATE_TEST_SUITE_P(AllStores, RowStoreTest,
+                         ::testing::Values(Store::kHeap, Store::kSparse,
+                                           Store::kDisk),
+                         [](const ::testing::TestParamInfo<Store>& info) {
+                           switch (info.param) {
+                             case Store::kHeap:
+                               return "Heap";
+                             case Store::kSparse:
+                               return "Sparse";
+                             case Store::kDisk:
+                               return "Disk";
+                           }
+                           return "";
                          });
 
 TEST(TableFactoryTest, PicksSparseAboveResidentBudget) {
